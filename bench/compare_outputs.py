@@ -1,0 +1,110 @@
+"""Byte-comparison guard: digests of every CLI output a refactor must keep.
+
+Usage (from a checkout):
+
+    python3 bench/compare_outputs.py --out before.json        # on the parent
+    python3 bench/compare_outputs.py --root OTHER --out after.json
+    python3 bench/compare_outputs.py --diff before.json after.json
+
+For every elementary kind (finite_cyclic with n=5), farey, half_farey and
+square at depths 1-6 it records the sha256 of ``laminar build`` JSON and of
+``laminar render`` SVG; at depths 2 and 4 it records the exit code of
+``laminar check`` and its report with the timings removed.  The laminar under
+``ROOT/src`` is imported (default: the checkout holding this script), and the
+run re-executes itself with PYTHONHASHSEED=0 so set iteration order is fixed.
+``--diff`` prints every key whose value differs and exits 1 if any does.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+KINDS = ["trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral", "farey", "half_farey", "square"]
+BUILD_DEPTHS = range(1, 7)
+CHECK_DEPTHS = (2, 4)
+
+
+def _build_argv(kind: str, depth: int, out: str) -> list:
+    if kind in ("farey", "half_farey", "square"):
+        return ["build", kind, "--depth", str(depth), "--out", out]
+    extra = ["--n", "5"] if kind == "finite_cyclic" else []
+    return ["build", "elementary", "--kind", kind, *extra, "--depth", str(depth), "--out", out]
+
+
+def _sha(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
+
+
+def _strip_seconds(report: dict) -> dict:
+    for entry in report["reports"]:
+        for check in entry["checks"]:
+            check.pop("seconds", None)
+        entry.pop("file", None)
+    return report
+
+
+def collect(root: str) -> dict:
+    sys.path.insert(0, os.path.join(root, "src"))
+    from laminar.cli import main
+
+    out = {}
+    with tempfile.TemporaryDirectory(prefix="laminar-compare-") as tmp:
+        for kind in KINDS:
+            for depth in BUILD_DEPTHS:
+                doc = os.path.join(tmp, f"{kind}-{depth}.json")
+                svg = os.path.join(tmp, f"{kind}-{depth}.svg")
+                assert main(_build_argv(kind, depth, doc)) == 0, (kind, depth)
+                assert main(["render", doc, "--out", svg]) == 0, (kind, depth)
+                out[f"build:{kind}:{depth}"] = _sha(doc)
+                out[f"render:{kind}:{depth}"] = _sha(svg)
+                if depth in CHECK_DEPTHS:
+                    report = os.path.join(tmp, f"{kind}-{depth}.check.json")
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        code = main(["check", doc, "--out", report])
+                    with open(report, encoding="utf-8") as f:
+                        out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
+    return out
+
+
+def diff(a_path: str, b_path: str) -> int:
+    with open(a_path, encoding="utf-8") as f:
+        a = json.load(f)
+    with open(b_path, encoding="utf-8") as f:
+        b = json.load(f)
+    changed = sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+    for key in changed:
+        print(f"differs: {key}")
+    print(f"{len(set(a) | set(b)) - len(changed)} identical, {len(changed)} different")
+    return 1 if changed else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", default=os.path.dirname(HERE), help="checkout whose src/laminar is run")
+    parser.add_argument("--out", help="write the digests here (default: stdout)")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two digest files")
+    args = parser.parse_args()
+    if args.diff:
+        return diff(*args.diff)
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    text = json.dumps(collect(os.path.abspath(args.root)), indent=1, sort_keys=True) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,9 +7,10 @@ from dataclasses import dataclass, field
 
 from .constructions import elementary_col3, farey_system, half_farey_system, square_system
 from .lamination import (
-    endpoints_set,
-    gaps,
+    LaminationSystem,
+    gaps,  # noqa: F401  (re-exported: callers import it from laminar.checks)
     interval_subset,
+    rank_within,
     strongly_transverse,
     transverse,
     validate_truncation,
@@ -99,17 +100,37 @@ def gap_refines(fine, coarse) -> bool:
     return all(any(interval_subset(u, w) for w in fine.intervals) for u in coarse.intervals)
 
 
+def refined_gap(fine, g: int, coarse):
+    """The gap of the ``coarse`` Truncation that gap g of ``fine`` refines, or None.
+
+    Every endpoint of ``coarse`` must be one of ``fine``.  The candidate is the
+    coarse region just inside the nearest fine ancestor chord that is also a
+    coarse chord (the root region if none is), checked on ranks.  When every
+    coarse chord is a fine chord, as ``check_coherence`` makes sure first, the
+    candidate always refines: the fine gap lies inside that chord, and outside
+    every coarse chord nested in it, or that chord would be a nearer ancestor.
+    """
+    k = g - 1
+    while k >= 0 and fine.chords[k] not in coarse.node_of:
+        k = fine.parent[k]
+    c = coarse.node_of[fine.chords[k]] + 1 if k >= 0 else 0
+    pts, members = coarse.points, fine.members(g)
+    lifted = [(fine.rank[pts[u >> 1]], fine.rank[pts[v >> 1]]) for u, v in coarse.members(c)]
+    if all(any(rank_within(*u, *w, fine.modulus) for w in members) for u in lifted):
+        return coarse.gaps()[c]
+    return None
+
+
 def check_coherence(result: CheckSuiteResult, name: str, system, depths) -> None:
     def run():
         for lo, hi in zip(depths, depths[1:]):
             a, b = set(system.chords(lo)), set(system.chords(hi))
             if not a <= b:
                 return "fail", {"depths": [lo, hi], "reason": "not monotone"}
-            coarse = gaps(sorted(a, key=lambda c: c.encode()))
-            fine = gaps(sorted(b, key=lambda c: c.encode()))
-            for g in fine:
-                if not any(gap_refines(g, c) for c in coarse):
-                    return "fail", {"depths": [lo, hi], "gap": [iv.encode() for iv in g.intervals]}
+            coarse, fine = system.truncation(lo).valid(), system.truncation(hi)
+            for g, gap in enumerate(fine.gaps()):
+                if refined_gap(fine, g, coarse) is None:
+                    return "fail", {"depths": [lo, hi], "gap": [iv.encode() for iv in gap.intervals]}
         return "pass", {"depths": list(depths)}
 
     _timed(result, f"coherence:{name}", run)
@@ -183,20 +204,6 @@ def check_pants_like(result: CheckSuiteResult, name: str, systems, generators, c
 # -- wiring for parsed documents -------------------------------------------------
 
 
-class _StaticSystem:
-    """Chord-list wrapper exposing the LaminationSystem surface used by checks."""
-
-    def __init__(self, name, chords):
-        self.name = name
-        self._chords = tuple(chords)
-
-    def chords(self, depth):
-        return self._chords
-
-    def endpoints(self, depth):
-        return endpoints_set(self._chords)
-
-
 def rebuild_from_builder(builder: dict):
     """Recreate a depth-parametrized object from builder metadata, if known."""
     if not builder:
@@ -231,7 +238,9 @@ def run_suites(parsed, suites=("axioms", "invariance", "transversality", "pants"
     rebuilt = rebuild_from_builder(getattr(parsed, "builder", None))
     if is_collection:
         depth = parsed.depth
-        static = [_StaticSystem(s.name or f"system{k}", s.chords) for k, s in enumerate(parsed.systems)]
+        static = [
+            LaminationSystem.fixed(s.name or f"system{k}", s.chart, s.chords) for k, s in enumerate(parsed.systems)
+        ]
         if "axioms" in suites:
             for s in static:
                 check_axioms(result, s.name, s.chords(depth))

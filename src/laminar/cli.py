@@ -6,7 +6,6 @@ Exit codes: 0 on success, 1 on a failed check, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .checks import run_suites
@@ -19,13 +18,13 @@ from .constructions import (
     square_system,
 )
 from .dynamics import TripleRegion, angel_wings, cusp_points, triple_escape_sampler
-from .errors import LaminarError
+from .errors import LaminarError, ParseError
 from .jsonio import (
     atomic_write_text,
     collection_doc,
     dumps,
     load,
-    parse_group,
+    load_group,
     system_doc,
 )
 from .lamination import Chord
@@ -65,7 +64,7 @@ def _cmd_check(args) -> int:
     for path in args.files:
         try:
             parsed = load(path)
-        except (OSError, ValueError, KeyError, LaminarError) as exc:
+        except (OSError, ParseError) as exc:
             print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
             return 2
         result = run_suites(parsed, suites, radius=args.radius)
@@ -84,7 +83,7 @@ def _cmd_render(args) -> int:
     for path in args.files:
         try:
             parsed = load(path)
-        except (OSError, ValueError, KeyError, LaminarError) as exc:
+        except (OSError, ParseError) as exc:
             print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
             return 2
         if hasattr(parsed, "systems"):
@@ -110,9 +109,8 @@ def _first_parabolic(generators, radius):
 
 def _cmd_dynamics(args) -> int:
     try:
-        with open(args.group, "r", encoding="utf-8") as f:
-            generators = parse_group(json.load(f))
-    except (OSError, ValueError, KeyError) as exc:
+        generators = load_group(args.group)
+    except (OSError, ParseError) as exc:
         print(f"error: cannot parse {args.group}: {exc}", file=sys.stderr)
         return 2
     if args.test == "cusps":

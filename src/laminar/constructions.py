@@ -16,17 +16,24 @@ from .mobius import AngleShift, ExpAffine, MobiusMap, apply_to_chord, ball_enume
 
 
 def simplest_between(lo, hi):
-    """Simplest rational in the open interval (lo, hi); hi None means +inf."""
-    if hi is None:
-        return _Q(int(lo.numerator // lo.denominator) + 1)
-    if not lo < hi:
+    """Simplest rational in the open interval (lo, hi); hi None means +inf.
+
+    Continued-fraction descent on integers: while the interval (p/q, r/s)
+    holds no integer above floor(p/q), the answer is fl + 1/z with z the
+    simplest rational in (s/(r - fl*s), q/(p - fl*q)), a zero denominator
+    standing for +inf.  The matrix (h1 h0; k1 k0) composes the steps.
+    """
+    p, q = int(lo.numerator), int(lo.denominator)
+    r, s = (1, 0) if hi is None else (int(hi.numerator), int(hi.denominator))
+    if hi is not None and not p * s < r * q:
         raise ValueError(f"empty interval ({lo}, {hi})")
-    fl = lo.numerator // lo.denominator
-    if fl + 1 < hi:
-        return _Q(int(fl) + 1)
-    x, y = lo - fl, hi - fl
-    inv_hi = None if x == 0 else 1 / x
-    return fl + 1 / simplest_between(1 / y, inv_hi)
+    h1, h0, k1, k0 = 1, 0, 0, 1
+    while True:
+        fl = p // q
+        if s == 0 or (fl + 1) * s < r:
+            return _Q(h1 * (fl + 1) + h0, k1 * (fl + 1) + k0)
+        p, q, r, s = s, r - fl * s, q, p - fl * q
+        h1, h0, k1, k0 = h1 * fl + h0, h1, k1 * fl + k0, k1
 
 
 class DenseSpec:

@@ -254,16 +254,6 @@ def sample_triples(count: int, rng: random.Random, windows=None, min_gap: float 
     return out
 
 
-def _triple_dist(t1, t2) -> float:
-    import itertools
-
-    best = math.inf
-    for perm in itertools.permutations(t2):
-        d = max(_circ_dist(a, b) for a, b in zip(t1, perm))
-        best = min(best, d)
-    return best
-
-
 class TripleRegion:
     """Compact set of triples: pairwise angular gap >= min_gap, coordinates in
     the given angle windows.  The finite sample drawn from it parametrizes the

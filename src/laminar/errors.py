@@ -51,3 +51,7 @@ class BadIntervalChoice(LaminarError):
 
 class DegenerateSample(LaminarError):
     """Sampled triple violates the minimum angular gap."""
+
+
+class ParseError(LaminarError):
+    """Input file is not a well-formed laminar document."""

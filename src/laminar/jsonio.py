@@ -12,6 +12,7 @@ import os
 import tempfile
 
 from .circle import BoundaryPoint, Chart
+from .errors import LaminarError, ParseError
 from .lamination import Chord, Col3Collection, LaminationSystem
 from .mobius import map_from_json
 
@@ -107,6 +108,24 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def load(path: str):
+# what malformed content raises while being decoded and parsed
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError, ZeroDivisionError, LaminarError)
+
+
+def _read(path: str, parse):
+    """``parse`` of the JSON file at ``path``; malformed content raises ParseError."""
     with open(path, "r", encoding="utf-8") as f:
-        return parse_doc(json.load(f))
+        try:
+            return parse(json.load(f))
+        except _MALFORMED as exc:
+            raise ParseError(f"{type(exc).__name__}: {exc}") from exc
+
+
+def load(path: str):
+    """A ParsedLamination or ParsedCollection; OSError or ParseError if not."""
+    return _read(path, parse_doc)
+
+
+def load_group(path: str) -> list:
+    """The generators of a group file; OSError or ParseError if not."""
+    return _read(path, parse_group)

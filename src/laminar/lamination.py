@@ -5,12 +5,21 @@ complementary regions of the chords in the disk; each gap is reported as the
 cyclic family of far-side intervals of its bounding chords, together with its
 vertex set.  Gaps whose vertex set is infinite (they still touch the circle
 along whole arcs) are flagged provisional.
+
+The predicates on single intervals and chords are exact and stand alone.  The
+queries that ask many of them about one chord set (validation, gaps, chains,
+rainbows, separation) go through a ``Truncation``: the chord set with its
+endpoints sorted once by exact key, so that every later comparison is one on
+integer ranks.  Functions taking a chord list find their ``Truncation`` in a
+small memo keyed by the chord set; ``LaminationSystem.truncation`` keeps one per
+depth.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from functools import lru_cache
 
 from .circle import BoundaryPoint, Chart, circular_order, require_same_chart
 from .errors import ChartMismatch, InvalidLamination, NotADistinctPair
@@ -41,9 +50,6 @@ class Interval:
 
     def chord(self) -> "Chord":
         return Chord(self.start, self.end)
-
-    def endpoints(self) -> frozenset:
-        return frozenset((self.start, self.end))
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
@@ -164,17 +170,6 @@ def properly_lies_on(leaf: Chord, j: Interval) -> bool:
     return interval_subset_closed(a, j) or interval_subset_closed(b, j)
 
 
-def intervals_disjoint(i: Interval, j: Interval) -> bool:
-    if i == j:
-        return False
-    return not (
-        i.contains(j.start)
-        or i.contains(j.end)
-        or j.contains(i.start)
-        or j.contains(i.end)
-    )
-
-
 # -- truncation validation ---------------------------------------------------
 
 
@@ -197,55 +192,26 @@ class ValidationReport:
         return f"{len(self.violations)} violation(s), first: {kind}: {data}"
 
 
-def _sorted_positions(chords):
-    """Distinct endpoints in ccw order (cut at the chart basepoint)."""
-    pts = {}
-    for ch in chords:
-        pts[ch.lo] = None
-        pts[ch.hi] = None
-    ordered = sorted(pts.keys(), key=lambda p: p.linear_key())
-    index = {p: i for i, p in enumerate(ordered)}
-    return ordered, index
-
-
-def _segments(chords, index):
-    segs = []
-    for ch in chords:
-        i, j = index[ch.lo], index[ch.hi]
-        segs.append((i, j, ch))
-    segs.sort(key=lambda s: (s[0], -s[1]))
-    return segs
-
-
 def validate_truncation(chords) -> ValidationReport:
     """Check the finite truncation axioms; violations are data, not errors.
 
     Dual closure holds structurally for chord sets, so the checked content is
-    nonemptiness plus pairwise unlinkedness.  A fast sweep certifies valid
-    inputs in O(n log n); when a crossing exists, every violating pair is
-    enumerated.
+    nonemptiness plus pairwise unlinkedness.  The ranked truncation certifies
+    valid inputs; when a crossing exists, every violating pair is listed in
+    the caller's chord order, decided on ranks.
     """
     chords = list(dict.fromkeys(chords))
     report = ValidationReport()
     if not chords:
         report.violations.append(("empty-family", None))
         return report
-    require_same_chart(*[c.lo for c in chords], *[c.hi for c in chords])
-    _, index = _sorted_positions(chords)
-    segs = _segments(chords, index)
-    stack = []
-    crossing = False
-    for i, j, _ in segs:
-        while stack and stack[-1][1] <= i:
-            stack.pop()
-        if stack and stack[-1][1] < j:
-            crossing = True
-            break
-        stack.append((i, j))
-    if crossing:
-        for a in range(len(chords)):
-            for b in range(a + 1, len(chords)):
-                if not unlinked(chords[a], chords[b]):
+    t = truncation_of(chords)
+    if not t.ok:
+        segs = [(t.rank[ch.lo], t.rank[ch.hi]) for ch in chords]
+        for a, (i, j) in enumerate(segs):
+            for b in range(a + 1, len(segs)):
+                k, l = segs[b]
+                if len({i, j, k, l}) == 4 and (i < k < j) != (i < l < j):
                     report.violations.append(("linked-pair", (chords[a], chords[b])))
     return report
 
@@ -275,10 +241,6 @@ class Gap:
         return not self.arcs
 
     @property
-    def polygon_size(self) -> int | None:
-        return len(self.intervals) if self.is_polygon else None
-
-    @property
     def is_leaf(self) -> bool:
         return len(self.intervals) == 2 and self.intervals[0] == self.intervals[1].dual
 
@@ -288,31 +250,6 @@ class Gap:
     def __repr__(self):
         kind = "polygon" if self.is_polygon else "provisional"
         return f"Gap({kind}, {[iv.encode() for iv in self.intervals]})"
-
-
-class _Node:
-    __slots__ = ("i", "j", "chord", "children")
-
-    def __init__(self, i, j, chord):
-        self.i = i
-        self.j = j
-        self.chord = chord
-        self.children = []
-
-
-def _build_forest(chords, index):
-    roots = []
-    stack = []
-    for i, j, ch in _segments(chords, index):
-        node = _Node(i, j, ch)
-        while stack and stack[-1].j <= i:
-            stack.pop()
-        if stack:
-            stack[-1].children.append(node)
-        else:
-            roots.append(node)
-        stack.append(node)
-    return roots
 
 
 def _face_gap(cyclic_intervals) -> Gap:
@@ -329,29 +266,154 @@ def _face_gap(cyclic_intervals) -> Gap:
     return Gap(tuple(cyclic_intervals), tuple(vertices), tuple(arcs))
 
 
+# -- ranked truncations --------------------------------------------------------
+
+
+def rank_inside(a: int, x: int, b: int, m: int) -> bool:
+    """Rank x lies strictly inside the ccw arc from rank a to rank b, mod m."""
+    return 0 < (x - a) % m < (b - a) % m
+
+
+def rank_within(a: int, b: int, c: int, d: int, m: int) -> bool:
+    """The open arc (a, b) is a subset of the open arc (c, d), ranks mod m."""
+    return (a - c) % m < (b - c) % m <= (d - c) % m
+
+
+class Truncation:
+    """One chord set, sorted once, with every per-truncation query on ranks.
+
+    The m distinct endpoints are sorted by exact ``linear_key``; endpoint k
+    has rank 2k and a point off the truncation the odd rank 2*bisect - 1, so
+    ranks modulo ``modulus`` = 2m are the circular order.  Chord k of
+    ``chords`` is the segment ``segs[k]`` = (i, j), i < j, in (i, -j) order.
+    One stack sweep over the segments decides validity (``ok``) and builds the
+    nesting forest: ``parent[k]`` is -1 for a root, and ``kids[-1]`` lists the
+    roots.  Gap 0 is the region around the chart basepoint and gap k + 1 the
+    region just inside chord k; gaps are built on first use.
+    """
+
+    def __init__(self, chords):
+        chords = tuple(dict.fromkeys(chords))
+        ends = dict.fromkeys(p for ch in chords for p in (ch.lo, ch.hi))
+        self.chart = require_same_chart(*ends) if ends else None
+        keyed = sorted(((p.linear_key(), p) for p in ends), key=lambda e: e[0])
+        self.keys = tuple(key for key, _ in keyed)
+        self.points = tuple(p for _, p in keyed)
+        self.rank = {p: 2 * k for k, p in enumerate(self.points)}
+        self.modulus = 2 * len(self.points)
+        segs = sorted(((self.rank[ch.lo], self.rank[ch.hi], ch) for ch in chords), key=lambda s: (s[0], -s[1]))
+        self.chords = tuple(ch for _, _, ch in segs)
+        self.segs = tuple((i, j) for i, j, _ in segs)
+        self.node_of = {ch: k for k, ch in enumerate(self.chords)}
+        self.parent = [-1] * len(chords)
+        self.kids = [[] for _ in range(len(chords) + 1)]
+        self.ok, stack = bool(chords), []
+        for k, (i, j) in enumerate(self.segs):
+            while stack and self.segs[stack[-1]][1] <= i:
+                stack.pop()
+            if stack and self.segs[stack[-1]][1] < j:
+                self.ok = False
+                break
+            self.parent[k] = stack[-1] if stack else -1
+            self.kids[self.parent[k]].append(k)
+            stack.append(k)
+        self._gaps = self._heights = self._by_encoding = None
+
+    def ranks(self, *points):
+        """Ranks of the points, or None where only exact predicates decide:
+        a point in another chart, or two distinct points off the truncation
+        that share a rank (the same slot between consecutive endpoints)."""
+        out, seen = [], {}
+        for p in points:
+            if p.chart != self.chart:
+                return None
+            r = self.rank.get(p)
+            if r is None:
+                r = (2 * bisect_left(self.keys, p.linear_key()) - 1) % self.modulus
+            if seen.setdefault(r, p) != p:
+                return None
+            out.append(r)
+        return out
+
+    def interval(self, a: int, b: int) -> Interval:
+        return Interval(self.points[a >> 1], self.points[b >> 1])
+
+    def sides(self) -> list:
+        return [s for i, j in self.segs for s in ((i, j), (j, i))]
+
+    def members(self, g: int) -> list:
+        """Gap g's far-side intervals as rank pairs, in ccw order."""
+        inner = [self.segs[c] for c in self.kids[g - 1]]
+        return inner if g == 0 else inner + [self.segs[g - 1][::-1]]
+
+    def valid(self, chords=None) -> "Truncation":
+        """Self if valid; else InvalidLamination, naming the first violating
+        pair in the order of ``chords`` (default: this truncation's)."""
+        if not self.ok:
+            raise InvalidLamination(validate_truncation(chords or self.chords).describe())
+        return self
+
+    def gaps(self) -> list:
+        if self.valid()._gaps is None:
+            self._gaps = [
+                _face_gap([self.interval(a, b) for a, b in self.members(g)]) for g in range(len(self.segs) + 1)
+            ]
+        return self._gaps
+
+    def by_encoding(self) -> list:
+        if self._by_encoding is None:
+            self._by_encoding = sorted(self.points, key=BoundaryPoint.encode)
+        return self._by_encoding
+
+    def nesting(self, x: int) -> int:
+        """Most chords separating the odd rank x from some gap.
+
+        Gaps and chords form a tree (the forest under the root region), and
+        the chords that separate x from a gap are the edges of the tree path
+        between them, so this is the eccentricity of x's gap in that tree.
+        """
+        if self.valid()._heights is None:
+            self._heights = h = [0] * (len(self.segs) + 1)
+            for k in range(len(self.segs) - 1, -1, -1):
+                h[self.parent[k]] = max(h[self.parent[k]], h[k] + 1)
+        path = [-1]  # the root region, then each chord around x, outermost first
+        while inner := [c for c in self.kids[path[-1]] if self.segs[c][0] < x < self.segs[c][1]]:
+            path.append(inner[0])
+        best, below = 0, None
+        for d, node in enumerate(reversed(path)):
+            best = max(best, d, *(d + 1 + self._heights[c] for c in self.kids[node] if c != below))
+            below = node
+        return best
+
+
+class _ChordSet(frozenset):
+    """The memo's key: a chord set that keeps the caller's order in ``chords``.
+
+    The Truncation is built in that order, since it is often close to sorted
+    and the exact sort then needs fewer comparisons.
+    """
+
+    def __new__(cls, chords):
+        chords = tuple(chords)
+        self = super().__new__(cls, chords)
+        self.chords = chords
+        return self
+
+
+@lru_cache(maxsize=4)
+def _memo(chordset: _ChordSet) -> Truncation:
+    return Truncation(chordset.chords)
+
+
+def truncation_of(chords) -> Truncation:
+    """The Truncation of a chord collection, from a memo of the last few sets."""
+    return _memo(_ChordSet(chords))
+
+
 def gaps(chords) -> list[Gap]:
     """All complementary regions of a valid truncation, root region first."""
     chords = list(dict.fromkeys(chords))
-    report = validate_truncation(chords)
-    if not report.ok:
-        raise InvalidLamination(report.describe())
-    pts, index = _sorted_positions(chords)
-    roots = _build_forest(chords, index)
-
-    out = []
-    root_intervals = [Interval(pts[r.i], pts[r.j]) for r in roots]
-    out.append(_face_gap(root_intervals))
-
-    def visit(node):
-        cyc = [Interval(pts[c.i], pts[c.j]) for c in node.children]
-        cyc.append(Interval(pts[node.j], pts[node.i]))
-        out.append(_face_gap(cyc))
-        for c in node.children:
-            visit(c)
-
-    for r in roots:
-        visit(r)
-    return out
+    return list(truncation_of(chords).valid(chords).gaps())
 
 
 def gap_index(gap_list) -> dict:
@@ -392,24 +454,20 @@ def c_p_I(chords, p: BoundaryPoint, outer: Interval) -> list[Interval]:
     """The chain {J in the interval family : p in J, J a subset of outer}.
 
     Returned ascending by inclusion, so the last element is the maximum.
+    Membership is decided on ranks unless ``Truncation.ranks`` defers to the
+    exact predicates; nested intervals have strictly growing rank length.
     """
-    found = []
-    for ch in dict.fromkeys(chords):
-        for side in ch.sides():
-            if side.contains(p) and interval_subset(side, outer):
-                found.append(side)
-
-    def cmp(x, y):
-        if x == y:
-            return 0
-        if interval_subset(x, y):
-            return -1
-        if interval_subset(y, x):
-            return 1
+    t = truncation_of(chords)
+    m, ranks = t.modulus, t.ranks(p, outer.start, outer.end)
+    if ranks is None:
+        found = [s for s in t.sides() if t.interval(*s).contains(p) and interval_subset(t.interval(*s), outer)]
+    else:
+        x, c, d = ranks
+        found = [(a, b) for a, b in t.sides() if rank_inside(a, x, b, m) and rank_within(a, b, c, d, m)]
+    found.sort(key=lambda s: (s[1] - s[0]) % m)
+    if not all(rank_within(*u, *v, m) for u, v in zip(found, found[1:])):
         raise InvalidLamination("C_p^I is not totally ordered: invalid truncation")
-
-    found.sort(key=cmp_to_key(cmp))
-    return found
+    return [t.interval(*s) for s in found]
 
 
 # -- rainbows ------------------------------------------------------------------
@@ -426,36 +484,14 @@ class ProbeOutcome:
 
 def rainbow_probe(system, p: BoundaryPoint, depth: int) -> ProbeOutcome:
     """Endpoint membership or the maximal nesting depth around p."""
-    chords = system.chords(depth) if hasattr(system, "chords") else list(system)
-    if chords:
-        require_same_chart(p, chords[0].lo)
-    pts, index = _sorted_positions(chords)
-    if p in index:
+    t = system.truncation(depth) if hasattr(system, "truncation") else truncation_of(system)
+    if t.points:
+        require_same_chart(p, t.points[0])
+    if p in t.rank:
         return ProbeOutcome(True, None)
-    if not chords:
+    if not t.chords:
         return ProbeOutcome(False, 0)
-    # rotate the ccw linear order so the cut sits at p
-    import bisect
-
-    keys = [q.linear_key() for q in pts]
-    ins = bisect.bisect_left(keys, p.linear_key())
-    m = len(pts)
-    segs = []
-    for ch in chords:
-        u = (index[ch.lo] - ins) % m
-        v = (index[ch.hi] - ins) % m
-        segs.append((u, v) if u < v else (v, u))
-    # segments are the chord sides avoiding p; nesting of the p-sides is the
-    # reverse nesting of these, so the longest chain is the max sweep depth
-    segs.sort(key=lambda s: (s[0], -s[1]))
-    stack = []
-    best = 0
-    for l, r in segs:
-        while stack and stack[-1] < r:
-            stack.pop()
-        stack.append(r)
-        best = max(best, len(stack))
-    return ProbeOutcome(False, best)
+    return ProbeOutcome(False, t.nesting(t.ranks(p)[0]))
 
 
 # -- endpoint sets and transversality ------------------------------------------
@@ -497,46 +533,43 @@ def separate_distinct_pair(chords, first: Interval, second: Interval):
     Witness points are tried in the deterministic encoding order of the
     truncation's endpoint set; for each witness p the chain maximum of
     C_p^{I*} ∩ C_p^{J*} names the gap, which is then verified to contain both
-    intervals inside members.
+    intervals inside members.  The witness search runs on ranks; the members
+    holding the two intervals are found with the exact ``interval_subset``.
     """
-    chords = list(dict.fromkeys(chords))
-    chordset = set(chords)
-    if first.chord() not in chordset or second.chord() not in chordset:
+    t = truncation_of(chords)
+    if first.chord() not in t.node_of or second.chord() not in t.node_of:
         raise NotADistinctPair("intervals are not sides of the truncation")
     if second == first.dual or second == first:
         raise NotADistinctPair("pair is a leaf or a single interval")
-    if not intervals_disjoint(first, second):
+    m = t.modulus
+    (f0, f1), (s0, s1) = t.ranks(first.start, first.end), t.ranks(second.start, second.end)
+    if any(rank_inside(a, x, b, m) for a, b, xs in ((f0, f1, (s0, s1)), (s0, s1, (f0, f1))) for x in xs):
         raise NotADistinctPair("intervals are not disjoint")
-
     all_gaps = gaps(chords)
-    by_member = gap_index(all_gaps)
-    dual1, dual2 = first.dual, second.dual
-    candidates = sorted(endpoints_set(chords), key=lambda q: q.encode())
-    skip = {first.start, first.end, second.start, second.end}
-    for p in candidates:
-        if p in skip:
+    for p in t.by_encoding():
+        x = t.rank[p]
+        if x in (f0, f1, s0, s1) or not (rank_inside(f1, x, f0, m) and rank_inside(s1, x, s0, m)):
             continue
-        if not (dual1.contains(p) and dual2.contains(p)):
+        top = None  # (a, b, gap) of the longest side around x inside both duals
+        for k, (i, j) in enumerate(t.segs):
+            if i < x < j:
+                a, b, g = i, j, t.parent[k] + 1
+            elif x != i and x != j:
+                a, b, g = j, i, k + 1
+            else:
+                continue
+            if rank_within(a, b, f1, f0, m) and rank_within(a, b, s1, s0, m):
+                if top is None or (b - a) % m > (top[1] - top[0]) % m:
+                    top = (a, b, g)
+        if top is None:
             continue
-        chain = [
-            side
-            for ch in chords
-            for side in ch.sides()
-            if side.contains(p) and interval_subset(side, dual1) and interval_subset(side, dual2)
-        ]
-        if not chain:
+        gap, members = all_gaps[top[2]], t.members(top[2])
+        if gap.is_leaf or len(gap.intervals) < 2:
             continue
-        top = chain[0]
-        for side in chain[1:]:
-            if interval_subset(top, side):
-                top = side
-        g = by_member.get(top)
-        if g is None or g.is_leaf or len(g.intervals) < 2:
-            continue
-        u1 = next((iv for iv in g.intervals if interval_subset(first, iv)), None)
-        u2 = next((iv for iv in g.intervals if interval_subset(second, iv)), None)
+        u1 = next((iv for iv in gap.intervals if interval_subset(first, iv)), None)
+        u2 = next((iv for iv in gap.intervals if interval_subset(second, iv)), None)
         if u1 is not None and u2 is not None:
-            return Separation(g, p, top, u1, u2)
+            return Separation(gap, p, gap.intervals[members.index(top[:2])], u1, u2)
     return None
 
 
@@ -554,6 +587,13 @@ class LaminationSystem:
         self.cusps = tuple(cusps)
         self.meta = dict(meta or {})
         self._cache = {}
+        self._truncations = {}
+
+    @classmethod
+    def fixed(cls, name, chart: Chart, chords) -> "LaminationSystem":
+        """A system whose truncation is the same chord set at every depth."""
+        chords = tuple(chords)
+        return cls(name, chart, lambda depth: chords)
 
     def chords(self, depth: int) -> tuple:
         if depth not in self._cache:
@@ -561,11 +601,11 @@ class LaminationSystem:
             self._cache[depth] = built
         return self._cache[depth]
 
-    def endpoints(self, depth: int) -> set:
-        return endpoints_set(self.chords(depth))
-
-    def sorted_chords(self, depth: int) -> list:
-        return sorted(self.chords(depth), key=lambda c: c.encode())
+    def truncation(self, depth: int) -> Truncation:
+        """The ranked truncation at ``depth``, built on first use."""
+        if depth not in self._truncations:
+            self._truncations[depth] = truncation_of(self.chords(depth))
+        return self._truncations[depth]
 
     def __repr__(self):
         return f"LaminationSystem({self.name!r}, {self.chart.value})"
@@ -580,6 +620,3 @@ class Col3Collection:
     generators: tuple
     cusps: tuple
     params: dict
-
-    def truncations(self, depth: int):
-        return [s.chords(depth) for s in self.systems]

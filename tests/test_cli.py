@@ -185,3 +185,26 @@ def test_check_rebuild_match_catches_tampered_chords(tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["check", str(bad), "--suite", "coherence"]) == 1
     assert "rebuild:farey" in capsys.readouterr().out
+
+
+def _assert_one_error_line(capsys, path):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: cannot parse {path}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:1/0,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 1, "chords": 5}',
+        "5",
+    ],
+    ids=["zero-denominator", "chords-not-a-list", "top-level-number"],
+)
+def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    for argv in (["check", str(bad)], ["render", str(bad)], ["dynamics", "--group", str(bad), "--test", "cusps"]):
+        assert run(argv) == 2, argv
+        _assert_one_error_line(capsys, bad)

@@ -53,6 +53,17 @@ def test_simplest_between():
                 assert not (a < q(num, den) < b)
 
 
+def test_simplest_between_deep_near_sqrt2():
+    # Descending the Stern-Brocot tree toward sqrt(2): the bounds are always
+    # Stern-Brocot neighbours, whose simplest rational in between is the mediant.
+    lo, hi = Fraction(1), Fraction(2)
+    for _ in range(80):
+        m = Fraction(lo.numerator + hi.numerator, lo.denominator + hi.denominator)
+        assert simplest_between(lo, hi) == m
+        lo, hi = (m, hi) if m * m < 2 else (lo, m)
+    assert hi - lo < Fraction(1, 10**20) and lo * lo < 2 < hi * hi
+
+
 def test_half_farey_examples():
     spec = DenseSpec.ext_rationals(0, seeds=(fr(0), INF))
     assert set(half_farey(spec, fr(0), INF, 0)) == {chord_er(0, "inf")}

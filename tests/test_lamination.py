@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from laminar.checks import gap_refines, refined_gap
 from laminar.circle import BoundaryPoint
-from laminar.constructions import farey_tessellation
+from laminar.constructions import farey_tessellation, half_farey_system
 from laminar.errors import InvalidLamination, NotADistinctPair
 from laminar.field import FieldElem
 from laminar.lamination import (
     Chord,
     Interval,
+    Truncation,
     c_p_I,
     chords_to_intervals,
     endpoints_set,
@@ -20,9 +22,12 @@ from laminar.lamination import (
     lies_on,
     properly_lies_on,
     rainbow_probe,
+    rank_inside,
+    rank_within,
     separate_distinct_pair,
     strongly_transverse,
     transverse,
+    truncation_of,
     unlinked,
     validate_truncation,
 )
@@ -436,3 +441,149 @@ def test_separation_finds_gap_whenever_a_witness_exists():
             assert interval_subset(first, sep.container_of_first)
             assert interval_subset(second, sep.container_of_second)
     assert tried > 30
+
+
+# -- ranked truncations ------------------------------------------------------------
+
+
+def _off_point(rng):
+    return _ang(rng.randrange(719) + 1, 719)  # never an endpoint of a grid-60 truncation
+
+
+def test_rank_predicates_agree_with_exact_predicates():
+    rng = random.Random(2024)
+    for _ in range(60):
+        chords = _random_truncation(rng)
+        t = Truncation(chords)
+        m = t.modulus
+        pts = list(dict.fromkeys([*t.points, *(_off_point(rng) for _ in range(8))]))
+        sides = [s for ch in chords for s in ch.sides()]
+        for _ in range(100):
+            iv, jv, p = rng.choice(sides), rng.choice(sides), rng.choice(pts)
+            (a, b), (c, d), (x,) = t.ranks(iv.start, iv.end), t.ranks(jv.start, jv.end), t.ranks(p)
+            assert rank_inside(a, x, b, m) == iv.contains(p)
+            assert rank_within(a, b, c, d, m) == interval_subset(iv, jv)
+        for _ in range(100):
+            u, v, p, q = rng.sample(pts, 4)
+            ranks = t.ranks(u, v, p, q)
+            if ranks is None:  # two off points in one slot: ranks cannot decide
+                continue
+            a, b, x, y = ranks
+            assert rank_inside(a, x, b, m) == Interval(u, v).contains(p)
+            assert rank_within(a, b, x, y, m) == interval_subset(Interval(u, v), Interval(p, q))
+            assert rank_within(x, y, a, b, m) == interval_subset(Interval(p, q), Interval(u, v))
+
+
+def test_ranks_defer_to_exact_predicates_within_one_slot():
+    chords = [chord_er(0, 1), chord_er(2, 3)]
+    t = Truncation(chords)
+    p, q = fr(5, 4), fr(3, 2)  # both between the endpoints 1 and 2
+    assert t.ranks(p) == t.ranks(q) and t.ranks(p, q) is None
+    assert t.ranks(p, p) == t.ranks(p) * 2
+    assert t.ranks(_ang(1, 3)) is None  # another chart
+    # the chains still come out right, through the exact predicates
+    for outer in (Interval(p, fr(7, 4)), Interval(fr(7, 4), p), Interval(p, fr(-1)), Interval(fr(7, 4), fr(6, 5))):
+        assert c_p_I(chords, q, outer) == _oracle_chain(chords, q, outer)
+    # outer runs from q almost all the way round to p
+    assert c_p_I(chords, fr(1, 2), Interval(q, p)) == [Interval(fr(0), fr(1))]
+
+
+def _old_violations(chords):
+    chords = list(dict.fromkeys(chords))
+    return [
+        (chords[a], chords[b])
+        for a in range(len(chords))
+        for b in range(a + 1, len(chords))
+        if not unlinked(chords[a], chords[b])
+    ]
+
+
+def test_validate_lists_linked_pairs_in_caller_order():
+    rng = random.Random(8)
+    grid = [_ang(k, 24) for k in range(24)]
+    crossing = 0
+    for _ in range(80):
+        chords = [Chord(*rng.sample(grid, 2)) for _ in range(rng.randint(2, 12))]
+        chords += rng.sample(chords, 2)  # duplicates are ignored
+        rep = validate_truncation(chords)
+        want = _old_violations(chords)
+        assert [data for _, data in rep.violations] == want
+        assert all(kind == "linked-pair" for kind, _ in rep.violations)
+        crossing += bool(want)
+        if want:
+            with pytest.raises(InvalidLamination, match="linked-pair"):
+                gaps(chords)
+    assert crossing > 40
+
+
+def test_memo_answers_equal_for_permuted_chord_lists():
+    rng = random.Random(12)
+    for _ in range(30):
+        chords = _random_truncation(rng)
+        perm = rng.sample(chords, len(chords))
+        assert truncation_of(perm) is truncation_of(chords)
+        assert gaps(perm) == gaps(chords)
+        assert validate_truncation(perm).ok
+        outer = rng.choice([s for c in chords for s in c.sides()])
+        p = _off_point(rng)
+        assert c_p_I(perm, p, outer) == c_p_I(chords, p, outer) == _oracle_chain(chords, p, outer)
+        assert rainbow_probe(perm, p, 0) == rainbow_probe(chords, p, 0)
+        c1, c2 = rng.sample(chords, 2)
+        first = next(s for s in c1.sides() if not s.contains(c2.lo) and not s.contains(c2.hi))
+        second = next(s for s in c2.sides() if not s.contains(c1.lo) and not s.contains(c1.hi))
+        if second != first.dual:
+            assert separate_distinct_pair(perm, first, second) == separate_distinct_pair(chords, first, second)
+
+
+def _oracle_nesting(chords, p):
+    """Longest chain of chord sides around p, by exact inclusion."""
+    around = sorted(
+        (s for ch in chords for s in ch.sides() if s.contains(p)),
+        key=lambda s: sum(1 for q in endpoints_set(chords) if s.contains(q)),
+    )
+    best = {}
+    for s in around:
+        best[s] = 1 + max((best[t] for t in best if interval_subset(t, s)), default=0)
+    return max(best.values(), default=0)
+
+
+def test_rainbow_nesting_against_longest_chain_oracle():
+    rng = random.Random(21)
+    for _ in range(80):
+        chords = _random_truncation(rng)
+        for p in [_off_point(rng) for _ in range(6)]:
+            assert rainbow_probe(chords, p, 0).nesting == _oracle_nesting(chords, p)
+        assert rainbow_probe(chords, chords[0].lo, 0).endpoint
+
+
+def _exhaustive_refined(fine, g, coarse):
+    return [c for c in coarse.gaps() if gap_refines(fine.gaps()[g], c)]
+
+
+def test_coherence_candidate_agrees_with_exhaustive_scan():
+    rng = random.Random(5)
+    for _ in range(40):
+        chords = _random_truncation(rng)
+        fine = Truncation(chords)
+        coarse = Truncation(rng.sample(chords, rng.randint(1, len(chords))))
+        for g in range(len(fine.gaps())):
+            got = refined_gap(fine, g, coarse)
+            assert got is not None and got in _exhaustive_refined(fine, g, coarse)
+
+
+def test_coherence_candidate_is_none_on_pairs_that_do_not_refine():
+    hf = half_farey_system()
+    # half-Farey depth 2 with the diagonal {0, 1} of the square 0, 1/2, 1, inf
+    # flipped to {1/2, inf}: the depth-3 gaps do not all refine its gaps
+    flipped = [c for c in hf.chords(2) if c != chord_er(0, 1)] + [chord_er((1, 2), "inf")]
+    coarse, fine = Truncation(flipped), hf.truncation(3)
+    assert coarse.ok
+    misses = 0
+    for g in range(len(fine.gaps())):
+        got, want = refined_gap(fine, g, coarse), _exhaustive_refined(fine, g, coarse)
+        if want:
+            assert got is None or got in want
+        else:
+            assert got is None
+            misses += 1
+    assert misses > 0
