@@ -1,7 +1,9 @@
 """Exact circle laminations, Mobius dynamics and invariant-system builders.
 
 All core values are immutable after construction and operations are pure
-functions, so everything here is safe to share across threads.
+functions; builders keep growing memos of what they computed (fills extended
+under a lock, images that every caller would compute alike), so everything
+here is safe to share across threads.
 """
 
 from .circle import BoundaryPoint, Chart, chart_convert, circular_order

@@ -4,15 +4,26 @@ Dense subsets are enumerated adaptively: the next point inserted in an arc is
 the Stern-Brocot simplest rational of the unshifted arc, which makes every
 builder deterministic, injective and dense.  Depth semantics are unified: one
 depth unit is one insertion round in every recursive arc plus one orbit shell.
+
+Builders extend instead of rebuilding: a ``DenseSpec`` keeps each half-Farey
+fill and adds only the rounds a deeper call needs, and the orbit builders map
+each boundary point once per group element (``ChordImages``), whatever the
+order in which depths are asked for.  ``orbit_closure`` returns the union of
+the orbit images only; callers that want it validated call
+``validate_truncation`` themselves.
 """
 
 from __future__ import annotations
 
+import threading
+
 from .circle import BoundaryPoint, Chart, circular_order
 from .errors import BadSeed, OverlappingArcs, UnsupportedKind
 from .field import _Q, FieldElem, SQRT2, SQRT3
-from .lamination import Chord, Col3Collection, Interval, LaminationSystem, validate_truncation
-from .mobius import AngleShift, ExpAffine, MobiusMap, apply_to_chord, ball_enumerate
+from .lamination import Chord, Col3Collection, Interval, LaminationSystem
+from .lamination import validate_truncation  # noqa: F401  (re-exported, read by perfbench/test_perfbench.py)
+from .mobius import AngleShift, ExpAffine, MobiusMap, ball_enumerate
+from .mobius import apply_to_chord  # noqa: F401  (re-exported, read by perfbench/test_perfbench.py)
 
 
 def simplest_between(lo, hi):
@@ -43,6 +54,9 @@ class DenseSpec:
     when seeded).  ``disk_angles``: angles shift + q mod 1.  ``exp_rationals``:
     exponents plus_shift + q on the positive ray and minus_shift + q on the
     negative ray.
+
+    The spec also keeps the half-Farey fill of each seed pair it has filled,
+    so that ``half_farey`` extends a fill instead of recomputing it.
     """
 
     def __init__(self, kind: str, chart: Chart, seeds=(), shift=0, minus_shift=None):
@@ -51,6 +65,8 @@ class DenseSpec:
         self.shift = FieldElem(0) + shift
         self.minus_shift = self.shift if minus_shift is None else FieldElem(0) + minus_shift
         self.seeds = tuple(seeds)
+        self._fills = {}  # (q1, q2) -> _Fill
+        self._lock = threading.Lock()
 
     @staticmethod
     def ext_rationals(shift=0, seeds=()) -> "DenseSpec":
@@ -125,25 +141,47 @@ class DenseSpec:
         }
 
 
+class _Fill:
+    """The half-Farey fill of one seed arc, as far as it has been computed:
+    its chords in insertion order, the arcs the next round divides, and
+    ends[d], the number of chords after d rounds."""
+
+    __slots__ = ("chords", "arcs", "ends")
+
+    def __init__(self, q1: BoundaryPoint, q2: BoundaryPoint):
+        self.chords = [Chord(q1, q2)]
+        self.arcs = [(q1, q2)]
+        self.ends = [1]
+
+
 def half_farey(spec: DenseSpec, q1: BoundaryPoint, q2: BoundaryPoint, depth: int) -> list:
     """Recursive triangulation of the arc [q1, q2]: each round inserts the
-    enumeration-first interior point of every undivided sub-arc."""
-    if q1 == q2:
-        raise BadSeed("seed endpoints coincide")
-    if not (spec.contains(q1) and spec.contains(q2)):
-        raise BadSeed("seed endpoints are not in the dense set")
-    chords = [Chord(q1, q2)]
-    arcs = [(q1, q2)]
-    for _ in range(depth):
-        nxt = []
-        for u, v in arcs:
-            w = spec.first_interior(u, v)
-            chords.append(Chord(u, w))
-            chords.append(Chord(w, v))
-            nxt.append((u, w))
-            nxt.append((w, v))
-        arcs = nxt
-    return chords
+    enumeration-first interior point of every undivided sub-arc.
+
+    Each round appends to the chords of the rounds before it, so depth d is a
+    prefix of every deeper fill; ``spec`` keeps the fill and computes only
+    the rounds no earlier call reached.
+    """
+    with spec._lock:
+        fill = spec._fills.get((q1, q2))
+        if fill is None:
+            if q1 == q2:
+                raise BadSeed("seed endpoints coincide")
+            if not (spec.contains(q1) and spec.contains(q2)):
+                raise BadSeed("seed endpoints are not in the dense set")
+            fill = spec._fills[(q1, q2)] = _Fill(q1, q2)
+        chords = fill.chords
+        while len(fill.ends) <= depth:
+            nxt = []
+            for u, v in fill.arcs:
+                w = spec.first_interior(u, v)
+                chords.append(Chord(u, w))
+                chords.append(Chord(w, v))
+                nxt.append((u, w))
+                nxt.append((w, v))
+            fill.arcs = nxt
+            fill.ends.append(len(chords))
+        return chords[: fill.ends[max(depth, 0)]]
 
 
 def square_triangulation(spec: DenseSpec, i_arc, j_arc, depth: int) -> list:
@@ -179,18 +217,69 @@ def square_triangulation(spec: DenseSpec, i_arc, j_arc, depth: int) -> list:
     return list(dict.fromkeys(chords))
 
 
-def orbit_closure(seed, generators, radius: int):
-    """Union of generator-ball images of the seed chords, with validation.
+class ChordImages:
+    """Chord images under group elements.
 
-    A validation failure indicates an incompatible seed, so the report is
-    returned alongside the chords rather than raised.
+    Each element maps each boundary point and each chord once, however many
+    chord sets it is applied to, so an orbit builder pays only for what is
+    new at a depth.
     """
+
+    def __init__(self):
+        self._memo = {}  # group element -> ({point: image}, {chord: image})
+
+    def __call__(self, g, chords) -> list:
+        memo = self._memo.get(g)
+        if memo is None:
+            memo = self._memo[g] = ({}, {})
+        points, images = memo
+        out = []
+        for ch in chords:
+            im = images.get(ch)
+            if im is None:
+                lo = points.get(ch.lo)
+                if lo is None:
+                    lo = points[ch.lo] = g.apply(ch.lo)
+                hi = points.get(ch.hi)
+                if hi is None:
+                    hi = points[ch.hi] = g.apply(ch.hi)
+                im = images[ch] = Chord(lo, hi)
+            out.append(im)
+        return out
+
+
+def orbit_closure(seed, generators, radius: int, images: ChordImages | None = None) -> list:
+    """Union of generator-ball images of the seed chords, first occurrence kept.
+
+    The union is not validated; pass ``images`` to reuse point images across
+    calls.
+    """
+    if images is None:
+        images = ChordImages()
     chords = []
     for g in ball_enumerate(generators, radius):
-        for ch in seed:
-            chords.append(apply_to_chord(g, ch))
-    chords = list(dict.fromkeys(chords))
-    return chords, validate_truncation(chords)
+        chords += images(g, seed)
+    return list(dict.fromkeys(chords))
+
+
+def _shell_builder(base, element, ring):
+    """``build(depth)``: the images of ``base(depth)`` under ``element(k)`` for
+    k in ``ring(depth)``, k-major.  Each element is made once and maps each
+    boundary point once across all depths."""
+    elements = {}
+    images = ChordImages()
+
+    def build(depth):
+        fill = base(depth)
+        out = []
+        for k in ring(depth):
+            g = elements.get(k)
+            if g is None:
+                g = elements[k] = element(k)
+            out += images(g, fill)
+        return out
+
+    return build
 
 
 def farey_tessellation(depth: int) -> list:
@@ -246,17 +335,11 @@ def _finite_cyclic_system(name, shift, n) -> LaminationSystem:
     p0 = BoundaryPoint.disk_angle(0)
     p1 = BoundaryPoint.disk_angle(FieldElem((1, n)))
     spec = DenseSpec.disk_angles(0, seeds=(p0, p1))
-    turn = AngleShift(shift)
-
-    def build(depth):
-        fill = half_farey(spec, p0, p1, depth)
-        out = []
-        for k in range(n):
-            rot = AngleShift(FieldElem((k, n)))
-            for ch in fill:
-                out.append(apply_to_chord(turn, apply_to_chord(rot, ch)))
-        return out
-
+    build = _shell_builder(
+        lambda depth: half_farey(spec, p0, p1, depth),
+        lambda k: AngleShift(shift + FieldElem((k, n))),
+        lambda depth: range(n),
+    )
     return LaminationSystem(name, Chart.DISK_ANGLE, build, meta={"shift": shift.encode(), "n": n})
 
 
@@ -265,18 +348,11 @@ def _parabolic_system(name, shift) -> LaminationSystem:
     one = BoundaryPoint.ext_real(1)
     inf = BoundaryPoint.ext_inf()
     spec = DenseSpec.ext_rationals(0, seeds=(zero, one))
-    move = MobiusMap(1, shift, 0, 1)
-
-    def build(depth):
-        base = half_farey(spec, zero, one, depth)
-        base.append(Chord(zero, inf))
-        out = []
-        for k in range(-depth, depth + 1):
-            step = MobiusMap(1, k, 0, 1)
-            for ch in base:
-                out.append(apply_to_chord(move, apply_to_chord(step, ch)))
-        return out
-
+    build = _shell_builder(
+        lambda depth: half_farey(spec, zero, one, depth) + [Chord(zero, inf)],
+        lambda k: MobiusMap(1, shift + k, 0, 1),
+        lambda depth: range(-depth, depth + 1),
+    )
     return LaminationSystem(name, Chart.EXT_REAL, build, meta={"shift": shift.encode()})
 
 
@@ -291,17 +367,11 @@ def _hyperbolic_base_arcs():
 def _hyperbolic_system(name, shift) -> LaminationSystem:
     i_arc, j_arc = _hyperbolic_base_arcs()
     spec = DenseSpec.exp_rationals(0, seeds=(j_arc[0], j_arc[1], i_arc[0], i_arc[1]))
-    move = ExpAffine(False, shift)
-
-    def build(depth):
-        base = square_triangulation(spec, i_arc, j_arc, depth)
-        out = []
-        for k in range(-depth, depth + 1):
-            step = ExpAffine(False, k)
-            for ch in base:
-                out.append(apply_to_chord(move, apply_to_chord(step, ch)))
-        return out
-
+    build = _shell_builder(
+        lambda depth: square_triangulation(spec, i_arc, j_arc, depth),
+        lambda k: ExpAffine(False, shift + k),
+        lambda depth: range(-depth, depth + 1),
+    )
     return LaminationSystem(name, Chart.SIGNED_EXP, build, meta={"shift": shift.encode()})
 
 
@@ -311,11 +381,11 @@ def _dihedral_system(name, shift, generators) -> LaminationSystem:
     i1 = BoundaryPoint.signed_exp(-1, HALF - shift)
     i2 = BoundaryPoint.signed_exp(-1, -shift)
     spec = DenseSpec.exp_rationals(shift, -shift, seeds=(j1, j2, i1, i2))
+    images = ChordImages()
 
     def build(depth):
         base = square_triangulation(spec, (i1, i2), (j1, j2), depth)
-        chords, _ = orbit_closure(base, generators, depth)
-        return chords
+        return orbit_closure(base, generators, depth, images)
 
     return LaminationSystem(name, Chart.SIGNED_EXP, build, meta={"shift": shift.encode()})
 

@@ -16,6 +16,7 @@ exact rationals of type ``_Q``.
 from __future__ import annotations
 
 import math
+import sys
 
 try:
     from gmpy2 import mpq as _Q  # noqa: F401  (much faster than Fraction)
@@ -35,6 +36,7 @@ _S2_HI, _S3_HI, _S6_HI = _S2_LO + 10, _S3_LO + 10, _S6_LO + 10
 
 _gcd = math.gcd
 _new = object.__new__
+_HASH_P = sys.hash_info.modulus
 
 
 def _rat(x) -> _Q:
@@ -340,10 +342,20 @@ class FieldElem:
         if h is None:
             # equal to hash((a, b, c, d)) over _Q; integer coefficients hash as ints
             den = self._den
+            nums = (self._a, self._b, self._c, self._d)
             if den == 1:
-                h = hash((self._a, self._b, self._c, self._d))
+                h = hash(nums)
             else:
-                h = hash(tuple(_Q(n, den) if n else 0 for n in (self._a, self._b, self._c, self._d)))
+                # Python hashes n/den as sign(n) * (|n| * den^-1 mod P) and an
+                # int m as sign(m) * (|m| mod P), each with -1 mapped to -2,
+                # so hash(n * den^-1) equals hash(n/den)
+                try:
+                    inv = pow(den, -1, _HASH_P)
+                except ValueError:  # den is a multiple of P
+                    h = hash(tuple(_Q(n, den) if n else 0 for n in nums))
+                else:
+                    a, b, c, d = nums
+                    h = hash((a * inv, b * inv, c * inv, d * inv))
             self._h = h
         return h
 

@@ -63,24 +63,38 @@ def parse_group(doc) -> list:
     return [map_from_json(g) for g in doc["generators"]]
 
 
+def _depth(doc) -> int:
+    depth = doc["depth"]
+    if type(depth) is not int or depth < 0:  # bool is an int subclass
+        raise ParseError(f"depth must be a non-negative integer, not {depth!r}")
+    return depth
+
+
+def _builder(doc):
+    builder = doc.get("builder")
+    if builder is not None and not isinstance(builder, dict):
+        raise ParseError(f"builder must be an object, not {builder!r}")
+    return builder
+
+
 class ParsedLamination:
     def __init__(self, doc):
         self.chart = Chart(doc["chart"])
-        self.depth = int(doc["depth"])
+        self.depth = _depth(doc)
         self.chords = chords_from_json(doc["chords"])
         self.name = doc.get("name", "")
-        self.builder = doc.get("builder")
+        self.builder = _builder(doc)
 
 
 class ParsedCollection:
     def __init__(self, doc):
         self.kind = doc["kind"]
-        self.depth = int(doc["depth"])
+        self.depth = _depth(doc)
         self.params = doc.get("params", {})
         self.generators = parse_group({"generators": doc.get("group", [])})
         self.cusps = [BoundaryPoint.parse(s) for s in doc.get("cusps", [])]
         self.systems = [ParsedLamination(s) for s in doc["systems"]]
-        self.builder = doc.get("builder")
+        self.builder = _builder(doc)
 
 
 def parse_doc(doc):
@@ -117,6 +131,8 @@ def _read(path: str, parse):
     with open(path, "r", encoding="utf-8") as f:
         try:
             return parse(json.load(f))
+        except ParseError:
+            raise
         except _MALFORMED as exc:
             raise ParseError(f"{type(exc).__name__}: {exc}") from exc
 

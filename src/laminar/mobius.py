@@ -16,6 +16,7 @@ from enum import Enum
 from .circle import BoundaryPoint, Chart
 from .errors import ChartMismatch
 from .field import FieldElem, as_field
+from .lamination import Chord, Interval
 
 
 class ElementType(Enum):
@@ -414,12 +415,8 @@ def fixed_points(g):
 
 
 def apply_to_chord(g, chord):
-    from .lamination import Chord
-
     return Chord(g.apply(chord.lo), g.apply(chord.hi))
 
 
 def apply_to_interval(g, interval):
-    from .lamination import Interval
-
     return Interval(g.apply(interval.start), g.apply(interval.end))

@@ -104,11 +104,7 @@ def render_svg(layers, cusps=(), spec: RenderSpec | None = None) -> str:
                 f'<path d="{path}" fill="none" stroke="{color}" '
                 f'stroke-width="{f(spec.stroke_width)}"/>'
             )
-        seen = []
-        for ch in ordered:
-            for p in (ch.lo, ch.hi):
-                if p not in seen:
-                    seen.append(p)
+        seen = dict.fromkeys(p for ch in ordered for p in (ch.lo, ch.hi))
         for p in sorted(seen, key=lambda q: q.encode()):
             x, y = canvas.xy(p.to_complex())
             lines.append(

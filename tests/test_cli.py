@@ -199,8 +199,22 @@ def _assert_one_error_line(capsys, path):
         '{"chart": "ext_real", "depth": 1, "chords": [["r:1/0,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "ext_real", "depth": 1, "chords": 5}',
         "5",
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]], "builder": 5}',
+        '{"chart": "ext_real", "depth": -3, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": "3", "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 2.5, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": true, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
     ],
-    ids=["zero-denominator", "chords-not-a-list", "top-level-number"],
+    ids=[
+        "zero-denominator",
+        "chords-not-a-list",
+        "top-level-number",
+        "builder-not-an-object",
+        "depth-negative",
+        "depth-a-string",
+        "depth-a-float",
+        "depth-a-bool",
+    ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):
     bad = tmp_path / "bad.json"

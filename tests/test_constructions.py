@@ -5,19 +5,24 @@ import pytest
 
 from laminar.circle import BoundaryPoint
 from laminar.constructions import (
+    ELEMENTARY_KINDS,
     DenseSpec,
     elementary_col3,
+    farey_system,
     farey_tessellation,
     half_farey,
+    half_farey_system,
     orbit_closure,
     simplest_between,
+    square_system,
     square_triangulation,
 )
-from laminar.checks import gap_refines
+from laminar.checks import CheckSuiteResult, check_invariance, gap_refines
 from laminar.errors import BadSeed, OverlappingArcs, UnsupportedKind
 from laminar.field import FieldElem, SQRT2
 from laminar.lamination import (
     Chord,
+    LaminationSystem,
     endpoints_set,
     gaps,
     strongly_transverse,
@@ -81,6 +86,15 @@ def test_half_farey_examples():
         half_farey(spec, fr(0), fr(0), 1)
     with pytest.raises(BadSeed):
         half_farey(spec, fr(0), BoundaryPoint.ext_real(SQRT2), 1)
+    # a rejected seed pair leaves no fill behind to be extended
+    with pytest.raises(BadSeed):
+        half_farey(spec, fr(0), BoundaryPoint.ext_real(SQRT2), 0)
+    # the kept fill answers shallower and deeper calls like a fresh spec
+    fresh = DenseSpec.ext_rationals(0, seeds=(fr(0), INF))
+    for d in (5, 0, 3, -1, 6):
+        assert half_farey(spec, fr(0), INF, d) == half_farey(fresh, fr(0), INF, d) == half_farey(
+            DenseSpec.ext_rationals(0, seeds=(fr(0), INF)), fr(0), INF, d
+        )
 
 
 def test_half_farey_gaps_are_triangles_or_pending(standalone_systems):
@@ -146,10 +160,51 @@ def test_farey_invariance_with_depth_slack():
 
 def test_orbit_closure_examples():
     T = MobiusMap(1, 1, 0, 1)
-    chords, rep = orbit_closure([chord_er(0, "inf")], [T], 2)
-    assert rep.ok and set(chords) == {Chord(fr(k), INF) for k in range(-2, 3)}
-    empty, rep0 = orbit_closure([], [T], 2)
-    assert empty == [] and not rep0.ok
+    chords = orbit_closure([chord_er(0, "inf")], [T], 2)
+    assert validate_truncation(chords).ok and set(chords) == {Chord(fr(k), INF) for k in range(-2, 3)}
+    empty = orbit_closure([], [T], 2)
+    assert empty == [] and not validate_truncation(empty).ok
+
+
+def _systems(kind):
+    if kind in ELEMENTARY_KINDS:
+        return elementary_col3(kind, n=5 if kind == "finite_cyclic" else None).systems
+    return ({"farey": farey_system, "half_farey": half_farey_system, "square": square_system}[kind](),)
+
+
+@pytest.mark.parametrize("kind", [*ELEMENTARY_KINDS, "farey", "half_farey", "square"])
+def test_extending_builders_match_fresh_builds(kind):
+    depths = list(range(8))
+    fresh = {d: tuple(s.chords(d) for s in _systems(kind)) for d in depths}
+    shuffled = depths[:]
+    random.Random(kind).shuffle(shuffled)
+    for order in (depths, depths[::-1], shuffled):
+        systems = _systems(kind)
+        for d in order:
+            # tuples, not sets: Truncation is built in the caller's chord order
+            assert tuple(s.chords(d) for s in systems) == fresh[d], (kind, order, d)
+
+
+def test_invariance_reports_a_dropped_image(collections):
+    col = collections["parabolic"]
+    source, depth, g = col.systems[1], 2, col.generators[0]
+    preimage = source.chords(depth)[5]
+    dropped = apply_to_chord(g, preimage)
+    assert dropped in source.chords(depth + 1)
+
+    def build(d):
+        return [ch for ch in source.chords(d) if d != depth + 1 or ch != dropped]
+
+    broken = LaminationSystem("broken", source.chart, build)
+    result = CheckSuiteResult()
+    check_invariance(result, "parabolic", [broken], col.generators, depth)
+    (entry,) = result.entries
+    assert entry.status == "fail" and entry.details["misses"] >= 1
+    assert entry.details["first"] == ["broken", repr(g), preimage.encode()]
+    # the same system without the drop passes
+    whole = CheckSuiteResult()
+    check_invariance(whole, "parabolic", [source], col.generators, depth)
+    assert whole.ok
 
 
 def test_elementary_kind_errors():

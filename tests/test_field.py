@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,28 @@ def test_canonical_form_equality_hash_and_encoding():
     zero = y - y
     assert zero == FieldElem(0) == 0 and hash(zero) == hash(FieldElem(0)) and zero.encode() == "0/1,0/1,0/1,0/1"
     assert FieldElem(7) == 7 and FieldElem((7, 2)) == Fraction(7, 2) and FieldElem((7, 2)) != 3
+
+
+def test_hash_equals_the_hash_of_the_rational_coefficients():
+    rng = random.Random(23)
+    for _ in range(3000):
+        coefs = tuple(
+            Fraction(rng.randint(-(10 ** rng.randint(0, 30)), 10 ** rng.randint(0, 30)), rng.randint(1, 10 ** rng.randint(0, 25)))
+            for _ in range(4)
+        )
+        x = FieldElem(*coefs)
+        assert hash(x) == hash(coefs), coefs
+    # -1 over a common denominator 2 hashes to -1, which Python maps to -2
+    assert hash(FieldElem(-1, (1, 2))) == hash((Fraction(-1), Fraction(1, 2), 0, 0)) == hash((-2, hash(Fraction(1, 2)), 0, 0))
+    # a common denominator that is a multiple of the hash modulus has no inverse
+    p = sys.hash_info.modulus
+    for coefs in (
+        (Fraction(1, p), Fraction(0), Fraction(0), Fraction(0)),
+        (Fraction(-3, 2 * p), Fraction(5, 7), Fraction(0), Fraction(-1, p)),
+        (Fraction(1, 2), Fraction(p, 3), Fraction(-p - 1, 5), Fraction(0)),
+    ):
+        assert hash(FieldElem(*coefs)) == hash(coefs), coefs
+    assert hash(FieldElem(Fraction(1, p))) == hash((Fraction(1, p), 0, 0, 0)) == hash((sys.hash_info.inf, 0, 0, 0))
 
 
 def test_overflowing_common_denominator_falls_back_exactly(monkeypatch):
