@@ -34,8 +34,8 @@ def simplest_between(lo, hi):
     simplest rational in (s/(r - fl*s), q/(p - fl*q)), a zero denominator
     standing for +inf.  The matrix (h1 h0; k1 k0) composes the steps.
     """
-    p, q = int(lo.numerator), int(lo.denominator)
-    r, s = (1, 0) if hi is None else (int(hi.numerator), int(hi.denominator))
+    p, q = lo.numerator, lo.denominator
+    r, s = (1, 0) if hi is None else (hi.numerator, hi.denominator)
     if hi is not None and not p * s < r * q:
         raise ValueError(f"empty interval ({lo}, {hi})")
     h1, h0, k1, k0 = 1, 0, 0, 1

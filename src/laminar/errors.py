@@ -55,3 +55,7 @@ class DegenerateSample(LaminarError):
 
 class ParseError(LaminarError):
     """Input file is not a well-formed laminar document."""
+
+
+class InvalidMap(LaminarError, ValueError):
+    """Matrix entries do not define an orientation-preserving map (det <= 0)."""

@@ -10,7 +10,7 @@ floating-point evaluation first (a static filter in the sense of Shewchuk,
 Predicates", 1997) and falls back to an exact algebraic procedure (split off
 the sqrt3 part and compare squares inside Q(sqrt2)), so comparisons are
 always exact.  The coefficients ``a``, ``b``, ``c``, ``d`` are exposed as
-exact rationals of type ``_Q``.
+exact ``fractions.Fraction``s (``_Q``).
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ from __future__ import annotations
 import math
 import sys
 
-try:
-    from gmpy2 import mpq as _Q  # noqa: F401  (much faster than Fraction)
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as _Q
+from fractions import Fraction as _Q
 
 _SQRT2_F = math.sqrt(2.0)
 _SQRT3_F = math.sqrt(3.0)
@@ -46,11 +43,6 @@ def _rat(x) -> _Q:
         return _Q(x)
     if isinstance(x, tuple):
         return _Q(*x)
-    # fractions.Fraction when gmpy2 is active, and vice versa
-    num = getattr(x, "numerator", None)
-    den = getattr(x, "denominator", None)
-    if num is not None and den is not None:
-        return _Q(int(num), int(den))
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -168,8 +160,8 @@ class FieldElem:
 
     def __init__(self, a=0, b=0, c=0, d=0):
         coefs = [_rat(q) for q in (a, b, c, d)]
-        den = math.lcm(*(int(q.denominator) for q in coefs))
-        nums = [int(q.numerator) * (den // int(q.denominator)) for q in coefs]
+        den = math.lcm(*(q.denominator for q in coefs))
+        nums = [q.numerator * (den // q.denominator) for q in coefs]
         # per-coefficient lowest terms over their lcm is already canonical
         self._a, self._b, self._c, self._d = nums
         self._den = den
@@ -455,7 +447,7 @@ def _rat_sqrt(q):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    num, den = int(q.numerator), int(q.denominator)
+    num, den = q.numerator, q.denominator
     rn, rd = math.isqrt(num), math.isqrt(den)
     if rn * rn == num and rd * rd == den:
         return _Q(rn, rd)

@@ -74,6 +74,9 @@ def _builder(doc):
     builder = doc.get("builder")
     if builder is not None and not isinstance(builder, dict):
         raise ParseError(f"builder must be an object, not {builder!r}")
+    n = (builder or {}).get("n")
+    if n is not None and type(n) is not int:  # bool is an int subclass
+        raise ParseError(f"builder n must be an integer, not {n!r}")
     return builder
 
 

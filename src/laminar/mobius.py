@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .circle import BoundaryPoint, Chart
-from .errors import ChartMismatch
-from .field import FieldElem, as_field
+from .errors import ChartMismatch, InvalidMap
+from .field import FieldElem, _raw, as_field
 from .lamination import Chord, Interval
 
 
@@ -37,25 +37,17 @@ class MobiusMap:
         p, q, r, s = (as_field(v) for v in (p, q, r, s))
         det = p * s - q * r
         if det.sign() <= 0:
-            raise ValueError("determinant must be positive")
+            raise InvalidMap("determinant must be positive")
         entries = (p, q, r, s)
         first = next(e for e in entries if not e.is_zero())
         # dividing by the first nonzero entry kills any real scalar, rational
-        # or not; a positive rational then clears denominators
+        # or not; each entry is then (n0..n3)/den in lowest terms, so the lcm
+        # of the dens clears every coefficient's denominator
         entries = tuple(e / first for e in entries)
-        coefs = [
-            (abs(int(c.numerator)), int(c.denominator))
-            for e in entries
-            for c in (e.a, e.b, e.c, e.d)
-        ]
-        lcm = 1
-        for _, den in coefs:
-            lcm = lcm * den // math.gcd(lcm, den)
-        gcd = 0
-        for num, den in coefs:
-            gcd = math.gcd(gcd, num * (lcm // den))
-        scale = FieldElem((lcm, 1)) if gcd == 0 else FieldElem((lcm, gcd))
-        self.p, self.q, self.r, self.s = (e * scale for e in entries)
+        lcm = math.lcm(*(e._den for e in entries))
+        nums = [n * (lcm // e._den) for e in entries for n in (e._a, e._b, e._c, e._d)]
+        g = math.gcd(*nums)
+        self.p, self.q, self.r, self.s = (_raw(*(n // g for n in nums[i : i + 4]), 1) for i in (0, 4, 8, 12))
         self._key = None
 
     @staticmethod
@@ -64,12 +56,10 @@ class MobiusMap:
 
     def key(self):
         if self._key is None:
-            parts = []
-            for e in (self.p, self.q, self.r, self.s):
-                for coef in (e.a, e.b, e.c, e.d):
-                    parts.append(int(coef.numerator))
-                    parts.append(int(coef.denominator))
-            self._key = "m:" + ",".join(map(str, parts))
+            # every canonical coefficient is an integer, written "<n>,1"
+            self._key = "m:" + ",".join(
+                f"{e._a},1,{e._b},1,{e._c},1,{e._d},1" for e in (self.p, self.q, self.r, self.s)
+            )
         return self._key
 
     def __eq__(self, other):
@@ -153,14 +143,9 @@ class MobiusMap:
     def to_float_matrix(self):
         entries = (self.p, self.q, self.r, self.s)
         # projective rescale so huge integer entries survive float conversion
-        top = 0
-        for e in entries:
-            for c in (e.a, e.b, e.c, e.d):
-                if c != 0:
-                    top = max(top, int(c.numerator).bit_length() - int(c.denominator).bit_length())
+        top = max(n.bit_length() for e in entries for n in (e._a, e._b, e._c, e._d)) - 1
         if top > 500:
-            shrink = FieldElem((1, 2 ** (top - 100)))
-            entries = tuple(e * shrink for e in entries)
+            entries = tuple(e / 2 ** (top - 100) for e in entries)
         return tuple(float(e) for e in entries)
 
     def __repr__(self):
@@ -373,7 +358,9 @@ def ball_enumerate(generators, radius: int):
     """All distinct products of at most ``radius`` generators and inverses.
 
     Deduplication is by projective canonical form; the result is ordered by
-    word length, then canonical key, so runs are deterministic.
+    word length, then canonical key, so runs are deterministic.  Letters equal
+    as maps (an involution and its inverse, a generator listed twice) count
+    once, and a word never ends in a letter followed by its inverse.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -381,25 +368,27 @@ def ball_enumerate(generators, radius: int):
     if not gens:
         return [MobiusMap.identity()]
     ident = identity_like(gens[0])
-    step = []
+    letters = {}  # key -> (letter, key of its inverse)
     for g in gens:
-        step.append(g)
-        step.append(g.inverse())
+        inv = g.inverse()
+        letters.setdefault(g.key(), (g, inv.key()))
+        letters.setdefault(inv.key(), (inv, g.key()))
     seen = {ident.key(): ident}
     order = [ident]
-    frontier = [ident]
+    frontier = [(ident, None)]  # (element, key of the inverse of its last letter)
     for _ in range(radius):
-        nxt = []
-        for g in frontier:
-            for h in step:
+        found = {}
+        for g, back in frontier:
+            for k, (h, inv_k) in letters.items():
+                if k == back:  # g * h is the shorter word, already seen
+                    continue
                 gh = g.compose(h)
-                k = gh.key()
-                if k not in seen:
-                    seen[k] = gh
-                    nxt.append(gh)
-        nxt.sort(key=lambda e: e.key())
-        order.extend(nxt)
-        frontier = nxt
+                gk = gh.key()
+                if gk not in seen:
+                    seen[gk] = gh
+                    found[gk] = (gh, inv_k)
+        frontier = [found[k] for k in sorted(found)]
+        order.extend(g for g, _ in frontier)
     return order
 
 

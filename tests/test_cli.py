@@ -204,6 +204,12 @@ def _assert_one_error_line(capsys, path):
         '{"chart": "ext_real", "depth": "3", "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "ext_real", "depth": 2.5, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "ext_real", "depth": true, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:1/2,0/1,0/1,0/1"]], '
+        '"builder": {"kind": "finite_cyclic", "n": "5"}}',
+        '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:1/2,0/1,0/1,0/1"]], '
+        '"builder": {"kind": "finite_cyclic", "n": 2.5}}',
+        '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:1/2,0/1,0/1,0/1"]], '
+        '"builder": {"kind": "finite_cyclic", "n": true}}',
     ],
     ids=[
         "zero-denominator",
@@ -214,6 +220,9 @@ def _assert_one_error_line(capsys, path):
         "depth-a-string",
         "depth-a-float",
         "depth-a-bool",
+        "builder-n-a-string",
+        "builder-n-a-float",
+        "builder-n-a-bool",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

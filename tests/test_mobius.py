@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
 
 from laminar.circle import BoundaryPoint, circular_order
-from laminar.errors import ChartMismatch
-from laminar.field import FieldElem
+from laminar.errors import ChartMismatch, InvalidMap, LaminarError
+from laminar.field import SQRT2, SQRT3, FieldElem
 from laminar.mobius import (
     AngleShift,
     ElementType,
@@ -15,7 +16,7 @@ from laminar.mobius import (
     map_from_json,
 )
 
-from conftest import INF, fr
+from conftest import INF, fr, random_field_elem
 
 T = MobiusMap(1, 1, 0, 1)
 S = MobiusMap(0, -1, 1, 0)
@@ -68,6 +69,9 @@ def test_canonical_form_is_projective():
     assert a == MobiusMap(2, 1, 1, 1)
     with pytest.raises(ValueError):
         MobiusMap(1, 0, 0, -1)  # negative determinant
+    with pytest.raises(InvalidMap) as exc:
+        MobiusMap(1, 2, 2, 4)  # zero determinant
+    assert isinstance(exc.value, LaminarError)
 
 
 def test_ball_examples():
@@ -151,3 +155,93 @@ def test_apply_to_chord():
 
     c = Chord(fr(0), INF)
     assert apply_to_chord(T, c) == Chord(fr(1), INF)
+
+
+def _ball_oracle(generators, radius):
+    """Keys of every product of at most ``radius`` letters, no pruning: each
+    key at the shortest length it occurs, ordered by length, then key."""
+    letters = [h for g in generators for h in (g, g.inverse())]
+    ident = letters[0].compose(letters[0].inverse())
+    length = {ident.key(): 0}
+    level = {ident.key(): ident}  # the products of exactly n letters
+    for n in range(1, radius + 1):
+        level = {gh.key(): gh for gh in (g.compose(h) for g in level.values() for h in letters)}
+        for k in level:
+            length.setdefault(k, n)
+    return sorted(length, key=lambda k: (length[k], k))
+
+
+@pytest.mark.parametrize(
+    "generators, radius",
+    [
+        ([S, T], 6),
+        ([S, MobiusMap(1, SQRT2, 0, 1)], 5),
+        ([S, MobiusMap(1, SQRT3, 0, 1)], 5),
+        ([MobiusMap(2, 0, 0, FieldElem((1, 2))), MobiusMap(5, 4, 4, 5)], 4),
+        ([T, T, T.inverse(), S], 4),
+        ([AngleShift(FieldElem((1, 5))), AngleShift(FieldElem((2, 5)))], 5),
+        ([ExpAffine(True, 0), ExpAffine(True, 1)], 6),
+    ],
+    ids=["psl2z", "hecke-sqrt2", "hecke-sqrt3", "free-hyperbolic-pair", "repeated-letters", "order-5", "exp-flips"],
+)
+def test_ball_matches_brute_force_words(generators, radius):
+    for r in range(radius + 1):
+        assert [g.key() for g in ball_enumerate(generators, r)] == _ball_oracle(generators, r)
+
+
+def _fraction_canonical(p, q, r, s):
+    """The canonical entries and key as computed from Fraction coefficients."""
+    first = next(e for e in (p, q, r, s) if not e.is_zero())
+    entries = tuple(e / first for e in (p, q, r, s))
+    coefs = [c for e in entries for c in (e.a, e.b, e.c, e.d)]
+    lcm = math.lcm(*(c.denominator for c in coefs))
+    gcd = math.gcd(*(c.numerator * (lcm // c.denominator) for c in coefs))
+    entries = tuple(e * FieldElem((lcm, gcd)) for e in entries)
+    parts = [x for e in entries for c in (e.a, e.b, e.c, e.d) for x in (c.numerator, c.denominator)]
+    return entries, "m:" + ",".join(map(str, parts))
+
+
+def test_canonical_form_matches_fraction_canonicalization():
+    rng = random.Random(7)
+    checked = 0
+    while checked < 300:
+        entries = [random_field_elem(rng, span=40, den=12) for _ in range(4)]
+        lead = rng.randrange(3)
+        entries[:lead] = [FieldElem(0)] * lead
+        entries[lead] = FieldElem((rng.randint(-9, 9), 7), (rng.randint(1, 9), rng.randint(1, 5)), (1, 3), 0)
+        p, q, r, s = entries
+        det = (p * s - q * r).sign()
+        if det == 0:
+            continue
+        if det < 0:
+            r, s = -r, -s
+        g = MobiusMap(p, q, r, s)
+        want, key = _fraction_canonical(p, q, r, s)
+        assert (g.p, g.q, g.r, g.s) == want and g.key() == key
+        checked += 1
+
+
+def _fraction_float_matrix(g):
+    entries = (g.p, g.q, g.r, g.s)
+    top = 0
+    for e in entries:
+        for c in (e.a, e.b, e.c, e.d):
+            if c != 0:
+                top = max(top, int(c.numerator).bit_length() - int(c.denominator).bit_length())
+    if top > 500:
+        shrink = FieldElem((1, 2 ** (top - 100)))
+        entries = tuple(e * shrink for e in entries)
+    return tuple(float(e) for e in entries)
+
+
+def test_float_matrix_matches_fraction_formula():
+    # [[1, sqrt3], [sqrt3, 4]]: entries pass 500 bits within about 230 powers
+    g = MobiusMap(1, SQRT3, SQRT3, 4)
+    power = g
+    rescaled = 0
+    for _ in range(1000):
+        got, want = power.to_float_matrix(), _fraction_float_matrix(power)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        rescaled += max(n.bit_length() for e in (power.p, power.q, power.r, power.s) for n in (e._a, e._c)) > 501
+        power = power.compose(g)
+    assert rescaled > 500
