@@ -9,7 +9,10 @@ Usage (from a checkout):
 For every elementary kind (finite_cyclic with n=5), farey, half_farey and
 square at depths 1-6 it records the sha256 of ``laminar build`` JSON and of
 ``laminar render`` SVG; at depths 2 and 4 it records the exit code of
-``laminar check`` and its report with the timings removed.  The laminar under
+``laminar check`` and its report with the timings removed.  It also records the
+sha256 of ``laminar dynamics`` output: cusps at radius 8 on PSL(2,Z) and the
+Hecke sqrt3 group, and triples at horizon 200 with seeds 0-3 on two hyperbolic
+matrices, a rotation and an exponent translation.  The laminar under
 ``ROOT/src`` is imported (default: the checkout holding this script), and the
 run re-executes itself with PYTHONHASHSEED=0 so set iteration order is fixed.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
@@ -30,6 +33,19 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 KINDS = ["trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral", "farey", "half_farey", "square"]
 BUILD_DEPTHS = range(1, 7)
 CHECK_DEPTHS = (2, 4)
+
+_ONE, _ZERO = "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"
+_S = {"matrix": [_ZERO, "-1/1,0/1,0/1,0/1", _ONE, _ZERO]}
+GROUPS = {
+    "psl2z": [_S, {"matrix": [_ONE, _ONE, _ZERO, _ONE]}],
+    "hecke_sqrt3": [_S, {"matrix": [_ONE, "0/1,0/1,1/1,0/1", _ZERO, _ONE]}],
+    "hyp_rational": [{"matrix": ["2/1,0/1,0/1,0/1", _ONE, _ONE, _ONE]}],
+    "hyp_sqrt3": [{"matrix": [_ONE, "0/1,0/1,1/1,0/1", "0/1,0/1,1/1,0/1", "4/1,0/1,0/1,0/1"]}],
+    "angle_sqrt3_7": [{"action": "angle_shift", "delta": "0/1,0/1,1/7,0/1"}],
+    "exp_sqrt2": [{"action": "exp_affine", "flip": False, "tau": "0/1,1/1,0/1,0/1"}],
+}
+CUSP_GROUPS = ("psl2z", "hecke_sqrt3")
+TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
 
 
 def _build_argv(kind: str, depth: int, out: str) -> list:
@@ -52,6 +68,15 @@ def _strip_seconds(report: dict) -> dict:
     return report
 
 
+def _dynamics(main, tmp: str, group: str, test: list) -> str:
+    path = os.path.join(tmp, f"{group}.group.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"generators": GROUPS[group]}, f)
+    out = os.path.join(tmp, "dynamics.json")
+    assert main(["dynamics", "--group", path, *test, "--out", out]) == 0, (group, test)
+    return _sha(out)
+
+
 def collect(root: str) -> dict:
     sys.path.insert(0, os.path.join(root, "src"))
     from laminar.cli import main
@@ -72,6 +97,12 @@ def collect(root: str) -> dict:
                         code = main(["check", doc, "--out", report])
                     with open(report, encoding="utf-8") as f:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
+        for group in CUSP_GROUPS:
+            out[f"cusps:{group}:8"] = _dynamics(main, tmp, group, ["--test", "cusps", "--radius", "8"])
+        for group in TRIPLE_GROUPS:
+            for seed in range(4):
+                test = ["--test", "triples", "--horizon", "200", "--seed", str(seed)]
+                out[f"triples:{group}:{seed}"] = _dynamics(main, tmp, group, test)
     return out
 
 

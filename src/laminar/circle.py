@@ -16,6 +16,8 @@ quadruple (1, i, -1, -i) of the disk to (inf, -1, 0, 1).
 
 from __future__ import annotations
 
+import cmath
+import math
 from enum import Enum
 
 from .errors import ChartMismatch, IncomparableCharts, InexactConversion
@@ -133,13 +135,18 @@ class BoundaryPoint:
         if tag == "r":
             return BoundaryPoint.ext_inf() if body == "inf" else BoundaryPoint.ext_real(FieldElem.parse(body))
         if tag == "θ":
-            return BoundaryPoint.disk_angle(FieldElem.parse(body))
+            t = FieldElem.parse(body)
+            if t.floor() != 0:
+                raise ValueError(f"angle {s!r} is not in [0, 1)")
+            return BoundaryPoint(Chart.DISK_ANGLE, _REGULAR, t, 0)
         if tag == "e":
             if body == "0":
                 return BoundaryPoint.exp_zero()
             if body == "inf":
                 return BoundaryPoint.exp_inf()
             sign, _, rest = body.partition(",")
+            if sign not in ("+", "-"):
+                raise ValueError(f"bad ray sign in {s!r}")
             return BoundaryPoint.signed_exp(1 if sign == "+" else -1, FieldElem.parse(rest))
         raise ValueError(f"bad point encoding: {s!r}")
 
@@ -151,8 +158,6 @@ class BoundaryPoint:
     def to_complex(self) -> complex:
         """Point on the unit circle of the Poincare disk, in 64-bit floats."""
         if self.chart == Chart.DISK_ANGLE:
-            import cmath
-
             return cmath.exp(2j * cmath.pi * float(self.x))
         if self.chart == Chart.EXT_REAL:
             if self.kind == _EXT_INF:
@@ -164,8 +169,6 @@ class BoundaryPoint:
             elif self.kind == _EXP_INF:
                 return complex(1.0, 0.0)
             else:
-                import math
-
                 t = float(self.x)
                 if t > 700.0:
                     return complex(1.0, 0.0)
@@ -176,8 +179,6 @@ class BoundaryPoint:
 
     def to_angle(self) -> float:
         """Angle of the disk image in turns, in [0, 1)."""
-        import cmath
-
         a = cmath.phase(self.to_complex()) / (2 * cmath.pi)
         return a % 1.0
 

@@ -3,7 +3,23 @@ sequences, and the desk-scale properly-discontinuous-on-triples sampler.
 
 Everything that can be exact is exact (cusp points, nesting, hyperbolicity of
 quotients); only the triple sampler and the width/distance tails evaluate in
-floating point, with documented tolerances and replayable seeds.
+floating point, with the tolerances below and replayable seeds.
+
+Float coordinate: an angle theta in turns stands for w = -cot(pi*theta) on the
+extended real line (theta = 0 is w = inf), the Cayley convention of
+``BoundaryPoint.to_complex``, and comes back as (1/2 + atan(w)/pi) mod 1.
+Every group element acts on w by its ``to_float_matrix()`` (p, q, r, s), as
+w -> (p*w + q) / (r*w + s):
+
+* ``MobiusMap``: its own matrix, projectively rescaled into float range;
+* ``AngleShift(delta)``: (cos pi*delta, sin pi*delta, -sin pi*delta, cos pi*delta);
+* ``ExpAffine(False, tau)``: diag(e^(tau/2), e^(-tau/2)); with the flip,
+  (0, -e^(tau/2), e^(-tau/2), 0).
+
+Sampler tolerances: an image triple has collapsed when two of its angles lie
+within ``eps`` in circular distance; it visits the target region when it is in
+the region with every bound relaxed by ``eps``; witness angles are reported
+rounded to 9 digits.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from .errors import (
     NotParabolic,
 )
 from .lamination import Chord, Interval, interval_subset
-from .mobius import AngleShift, ElementType, ExpAffine, MobiusMap, ball_enumerate
+from .mobius import ElementType, ball_enumerate
 
 
 def cusp_points(generators, radius: int) -> list:
@@ -123,20 +139,27 @@ def monotone_convergence_check(points, p: BoundaryPoint) -> bool:
     return True
 
 
+def _angle_to_real(theta: float) -> float:
+    t = theta % 1.0
+    if t == 0.0:
+        return math.inf
+    return -1.0 / math.tan(math.pi * t)
+
+
+def _real_to_angle(w: float) -> float:
+    # atan(+-inf) = +-pi/2, so the point at infinity lands on 0
+    return (0.5 + math.atan(w) / math.pi) % 1.0
+
+
 def _point_angle(x) -> float:
     if isinstance(x, BoundaryPoint):
         return x.to_angle()
-    return float(x) % 1.0
+    return _real_to_angle(float(x))
 
 
 def _fix_angles(g) -> list:
     pts, sym = g.fixed_points()
-    out = [p.to_angle() for p in pts]
-    for s in sym:
-        w = float(s)
-        z = (complex(w, 0) - 1j) / (complex(w, 0) + 1j)
-        out.append((math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0)
-    return out
+    return [p.to_angle() for p in pts] + [_real_to_angle(float(s)) for s in sym]
 
 
 def _circ_dist(a: float, b: float) -> float:
@@ -187,49 +210,14 @@ class SequenceReport:
         return {"verdict": self.verdict, "witness": self.witness, "params": self.params}
 
 
-def _float_action(g):
-    if isinstance(g, MobiusMap):
-        p, q, r, s = g.to_float_matrix()
-
-        def act(w):
-            if math.isinf(w):
-                return math.inf if r == 0.0 else p / r
-            den = r * w + s
-            if den == 0.0:
-                return math.inf
-            return (p * w + q) / den
-
-        return act
-    if isinstance(g, AngleShift):
-        d = float(g.delta)
-        return ("angle", d)
-    if isinstance(g, ExpAffine):
-        t = math.exp(float(g.tau))
-        if g.flip:
-            return lambda w: math.inf if w == 0.0 else -t / w
-        return lambda w: w * t
-    raise TypeError(f"unsupported map {g!r}")
-
-
-def _angle_to_real(theta: float) -> float:
-    # boundary coordinate w = -cot(pi * theta); theta = 0 is the point at infinity
-    t = theta % 1.0
-    if t == 0.0:
-        return math.inf
-    return -1.0 / math.tan(math.pi * t)
-
-
-def _real_to_angle(w: float) -> float:
+def _act(m, w: float) -> float:
+    p, q, r, s = m
     if math.isinf(w):
-        return 0.0
-    z = (complex(w, 0.0) - 1j) / (complex(w, 0.0) + 1j)
-    return (math.atan2(z.imag, z.real) / (2 * math.pi)) % 1.0
-
-
-def _apply_angle(action, theta: float) -> float:
-    if isinstance(action, tuple) and action[0] == "angle":
-        return (theta + action[1]) % 1.0
-    return _real_to_angle(action(_angle_to_real(theta)))
+        return math.inf if r == 0.0 else p / r
+    den = r * w + s
+    if den == 0.0:
+        return math.inf
+    return (p * w + q) / den
 
 
 def _triple_gap_ok(tr, delta: float) -> bool:
@@ -322,12 +310,15 @@ def triple_escape_sampler(
         if not k_region.contains(tr, slack=1e-12):
             raise DegenerateSample(f"probe triple {tr} outside the source region")
     n_steps = min(horizon, len(maps))
-    actions = [_float_action(g) for g in maps[:n_steps]]
+    tail_start = n_steps - max(1, n_steps // 4)
+    probes = [tuple(_angle_to_real(a) for a in tr) for tr in k_sample]
     last_uncollapsed = [0] * len(k_sample)
-    hits = []
-    for n, act in enumerate(actions, start=1):
-        for ki, tr in enumerate(k_sample):
-            img = tuple(_apply_angle(act, a) for a in tr)
+    hits = []  # the first 50 witnesses
+    hit_count = tail_hits = 0
+    for n, g in enumerate(maps[:n_steps], start=1):
+        m = g.to_float_matrix()
+        for ki, ws in enumerate(probes):
+            img = tuple(_real_to_angle(_act(m, w)) for w in ws)
             s = sorted(img)
             collapsed = (
                 _circ_dist(s[0], s[1]) <= eps
@@ -337,25 +328,27 @@ def triple_escape_sampler(
             if not collapsed:
                 last_uncollapsed[ki] = n
             if l_region.contains(img, slack=eps):
-                hits.append((n, ki, tuple(round(a, 9) for a in s)))
+                hit_count += 1
+                if n > tail_start:
+                    tail_hits += 1
+                if len(hits) < 50:
+                    hits.append((n, ki, tuple(round(a, 9) for a in s)))
 
-    tail_start = n_steps - max(1, n_steps // 4)
-    tail_hits = [h for h in hits if h[0] > tail_start]
-    if tail_hits and len(hits) >= 10:
+    if tail_hits and hit_count >= 10:
         return SequenceReport(
             "violation",
-            {"hits": hits[:50], "hit_count": len(hits), "tail_hits": len(tail_hits)},
+            {"hits": hits, "hit_count": hit_count, "tail_hits": tail_hits},
             params,
         )
     all_collapse = all(last < n_steps for last in last_uncollapsed)
     if all_collapse and not tail_hits:
         return SequenceReport(
             "convergence_like",
-            {"max_collapse_step": max(last_uncollapsed) + 1, "hit_count": len(hits)},
+            {"max_collapse_step": max(last_uncollapsed) + 1, "hit_count": hit_count},
             params,
         )
     return SequenceReport(
         "inconclusive",
-        {"collapsed": all_collapse, "hit_count": len(hits)},
+        {"collapsed": all_collapse, "hit_count": hit_count},
         params,
     )

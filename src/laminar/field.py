@@ -140,19 +140,6 @@ def _inverse_parts(a, b, c, d):
     )
 
 
-def rat_str(q) -> str:
-    """Canonical "<num>/<den>" form in lowest terms."""
-    q = _rat(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def rat_parse(s: str) -> _Q:
-    num, _, den = s.partition("/")
-    if den == "":
-        return _Q(int(num))
-    return _Q(int(num), int(den))
-
-
 class FieldElem:
     """Immutable element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3)."""
 
@@ -407,10 +394,21 @@ class FieldElem:
 
     @classmethod
     def parse(cls, s: str) -> "FieldElem":
+        """Inverse of ``encode``; any other spelling of a value is rejected."""
         parts = s.split(",")
         if len(parts) != 4:
             raise ValueError(f"bad field element encoding: {s!r}")
-        return cls(*[rat_parse(p) for p in parts])
+        nums, dens = [], []
+        for part in parts:
+            n, _, d = part.partition("/")
+            n, d = int(n), int(d)
+            if d <= 0 or _gcd(n, d) != 1 or f"{n}/{d}" != part:
+                raise ValueError(f"{part!r} is not a fraction in lowest terms in {s!r}")
+            nums.append(n)
+            dens.append(d)
+        # per-coefficient lowest terms over their lcm is already canonical
+        den = math.lcm(*dens)
+        return _raw(*(n * (den // d) for n, d in zip(nums, dens)), den)
 
     def __repr__(self) -> str:
         terms = []

@@ -85,6 +85,9 @@ class ParsedLamination:
         self.chart = Chart(doc["chart"])
         self.depth = _depth(doc)
         self.chords = chords_from_json(doc["chords"])
+        stray = next((ch for ch in self.chords if ch.chart != self.chart), None)
+        if stray is not None:
+            raise ParseError(f"chord {stray!r} is not in the document's chart {self.chart.value}")
         self.name = doc.get("name", "")
         self.builder = _builder(doc)
 

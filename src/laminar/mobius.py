@@ -256,6 +256,12 @@ class AngleShift:
     def to_json(self):
         return {"action": "angle_shift", "delta": self.delta.encode()}
 
+    def to_float_matrix(self):
+        # rotation by pi*delta of w = -cot(pi*theta)
+        a = math.pi * float(self.delta)
+        c, s = math.cos(a), math.sin(a)
+        return (c, s, -s, c)
+
     def __repr__(self):
         return f"AngleShift({self.delta!r})"
 
@@ -329,18 +335,14 @@ class ExpAffine:
     def to_json(self):
         return {"action": "exp_affine", "flip": self.flip, "tau": self.tau.encode()}
 
+    def to_float_matrix(self):
+        # w = ray * e^t goes to e^tau * w, or to -e^tau / w with the flip
+        h = float(self.tau) / 2
+        e, f = math.exp(h), math.exp(-h)
+        return (0.0, -e, f, 0.0) if self.flip else (e, 0.0, 0.0, f)
+
     def __repr__(self):
         return f"ExpAffine(flip={self.flip}, tau={self.tau!r})"
-
-
-def identity_like(g):
-    if isinstance(g, MobiusMap):
-        return MobiusMap.identity()
-    if isinstance(g, AngleShift):
-        return AngleShift(0)
-    if isinstance(g, ExpAffine):
-        return ExpAffine(False, 0)
-    raise TypeError(f"not a group element: {g!r}")
 
 
 def map_from_json(data):
@@ -367,7 +369,7 @@ def ball_enumerate(generators, radius: int):
     gens = list(generators)
     if not gens:
         return [MobiusMap.identity()]
-    ident = identity_like(gens[0])
+    ident = gens[0].compose(gens[0].inverse())
     letters = {}  # key -> (letter, key of its inverse)
     for g in gens:
         inv = g.inverse()

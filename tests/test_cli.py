@@ -210,6 +210,11 @@ def _assert_one_error_line(capsys, path):
         '"builder": {"kind": "finite_cyclic", "n": 2.5}}',
         '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:1/2,0/1,0/1,0/1"]], '
         '"builder": {"kind": "finite_cyclic", "n": true}}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/2,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:2/2,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/-1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "disk_angle", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:3/2,0/1,0/1,0/1"]]}',
     ],
     ids=[
         "zero-denominator",
@@ -223,6 +228,11 @@ def _assert_one_error_line(capsys, path):
         "builder-n-a-string",
         "builder-n-a-float",
         "builder-n-a-bool",
+        "zero-not-in-lowest-terms",
+        "one-not-in-lowest-terms",
+        "negative-denominator",
+        "points-not-in-the-chart",
+        "angle-not-below-one",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
 from laminar.circle import BoundaryPoint
 from laminar.dynamics import (
     TripleRegion,
+    _act,
+    _angle_to_real,
+    _circ_dist,
+    _real_to_angle,
     angel_wings,
     approximation_sequence_check,
     cusp_points,
@@ -17,7 +23,7 @@ from laminar.errors import (
     LeafNotAtFixedPoint,
     NotParabolic,
 )
-from laminar.field import FieldElem, SQRT2
+from laminar.field import SQRT2, SQRT3, FieldElem
 from laminar.lamination import Chord, Interval, interval_subset, interval_subset_closed
 from laminar.mobius import AngleShift, ExpAffine, MobiusMap
 
@@ -117,6 +123,51 @@ def test_approximation_sequence_examples():
 
     with pytest.raises(ValueError):
         approximation_sequence_check([T, T], (fr(0), INF))
+
+
+def test_approximation_sequence_on_a_symbolic_fixed_pair():
+    g = MobiusMap(2, 1, 1, 1)  # fixes (1 +- sqrt5)/2, outside the field
+    pts, sym = g.fixed_points()
+    assert pts == [] and len(sym) == 2
+    powers = [g]
+    for _ in range(5):
+        powers.append(powers[-1].compose(g))
+    assert approximation_sequence_check(powers, tuple(sym))
+    assert not approximation_sequence_check(powers, (fr(0), INF))
+
+
+def test_float_matrix_action_matches_exact_apply():
+    rng = random.Random(8)
+
+    def elem():
+        return FieldElem((rng.randint(-30, 30), rng.randint(1, 7)), (rng.randint(-3, 3), rng.randint(1, 4)))
+
+    def angle():
+        t = elem()
+        return BoundaryPoint.disk_angle(t - t.floor())
+
+    ext = [INF, fr(0)] + [BoundaryPoint.ext_real(elem()) for _ in range(20)]
+    disk = [BoundaryPoint.disk_angle(0)] + [angle() for _ in range(20)]
+    exp = [BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf()] + [
+        BoundaryPoint.signed_exp(rng.choice((1, -1)), elem() / 8) for _ in range(20)
+    ]
+    cases = [
+        (S, ext),  # sends inf to 0 and 0 to inf
+        (T, ext),
+        (MobiusMap(2, 1, 1, 1), ext),
+        (MobiusMap(1, SQRT3, SQRT3, 4), ext),
+        (AngleShift(FieldElem((1, 4))), disk),  # theta = 0 goes to 1/4, not 3/4
+        (AngleShift(SQRT2 * 3), disk),
+        (ExpAffine(False, SQRT2), exp),
+        (ExpAffine(False, FieldElem(-2)), exp),
+        (ExpAffine(True, FieldElem((3, 2))), exp),
+        (ExpAffine(True, -SQRT3), exp),
+    ]
+    for g, pts in cases:
+        m = g.to_float_matrix()
+        for p in pts:
+            got = _real_to_angle(_act(m, _angle_to_real(p.to_angle())))
+            assert _circ_dist(got, g.apply(p).to_angle()) < 1e-9, (g, p)
 
 
 def test_sampler_north_south_dynamics():

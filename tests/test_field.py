@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from laminar.field import ONE, SQRT2, SQRT3, SQRT6, FieldElem, rat_parse, rat_str
+from laminar.field import ONE, SQRT2, SQRT3, SQRT6, FieldElem
 
 from conftest import random_field_elem
 
@@ -102,7 +102,6 @@ def test_encoding_round_trip():
     for _ in range(200):
         x = random_field_elem(rng)
         assert FieldElem.parse(x.encode()) == x
-    assert rat_str(rat_parse("6/4")) == "3/2"
     assert FieldElem.parse("1/1,0/1,0/1,0/1") == ONE
 
 
