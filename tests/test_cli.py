@@ -215,6 +215,7 @@ def _assert_one_error_line(capsys, path):
         '{"chart": "ext_real", "depth": 1, "chords": [["r:0/-1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "disk_angle", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:3/2,0/1,0/1,0/1"]]}',
+        '{"chart": "signed_exp", "depth": 1, "chords": [["e:0", "e:x,0/1,0/1,0/1,0/1"]]}',
     ],
     ids=[
         "zero-denominator",
@@ -233,6 +234,7 @@ def _assert_one_error_line(capsys, path):
         "negative-denominator",
         "points-not-in-the-chart",
         "angle-not-below-one",
+        "ray-sign-not-plus-or-minus",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

@@ -142,12 +142,8 @@ def test_float_matrix_action_matches_exact_apply():
     def elem():
         return FieldElem((rng.randint(-30, 30), rng.randint(1, 7)), (rng.randint(-3, 3), rng.randint(1, 4)))
 
-    def angle():
-        t = elem()
-        return BoundaryPoint.disk_angle(t - t.floor())
-
     ext = [INF, fr(0)] + [BoundaryPoint.ext_real(elem()) for _ in range(20)]
-    disk = [BoundaryPoint.disk_angle(0)] + [angle() for _ in range(20)]
+    disk = [BoundaryPoint.disk_angle(x) for x in [0] + [elem() for _ in range(20)]]
     exp = [BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf()] + [
         BoundaryPoint.signed_exp(rng.choice((1, -1)), elem() / 8) for _ in range(20)
     ]
