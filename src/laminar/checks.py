@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .constructions import elementary_col3, farey_system, half_farey_system, square_system
+from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, elementary_col3
 from .lamination import (
     LaminationSystem,
     gaps,  # noqa: F401  (re-exported: callers import it from laminar.checks)
@@ -16,6 +16,7 @@ from .lamination import (
     validate_truncation,
 )
 from .dynamics import cusp_points
+from .jsonio import builder_kind
 from .mobius import apply_to_chord
 
 
@@ -146,8 +147,9 @@ def check_invariance(result: CheckSuiteResult, name: str, systems, generators, d
         for sysm in systems:
             nxt = set(sysm.chords(depth + 1))
             for g in maps:
+                points = {}  # g on the system's endpoints, each mapped once
                 for ch in sysm.chords(depth):
-                    if apply_to_chord(g, ch) not in nxt:
+                    if apply_to_chord(g, ch, points) not in nxt:
                         misses.append((sysm.name, g, ch))
         if misses:
             s, g, ch = misses[0]
@@ -206,16 +208,10 @@ def check_pants_like(result: CheckSuiteResult, name: str, systems, generators, c
 
 def rebuild_from_builder(builder: dict):
     """Recreate a depth-parametrized object from builder metadata, if known."""
-    if not builder:
-        return None
-    kind = builder.get("kind") or builder.get("name")
-    if kind == "farey":
-        return farey_system()
-    if kind == "half_farey":
-        return half_farey_system()
-    if kind == "square":
-        return square_system()
-    if kind in ("trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral"):
+    kind = builder_kind(builder)
+    if kind in SYSTEM_BUILDERS:
+        return SYSTEM_BUILDERS[kind]()
+    if kind in ELEMENTARY_KINDS:
         return elementary_col3(kind, n=builder.get("n"))
     return None
 

@@ -12,10 +12,8 @@ from .checks import run_suites
 from .circle import BoundaryPoint
 from .constructions import (
     ELEMENTARY_KINDS,
+    SYSTEM_BUILDERS,
     elementary_col3,
-    farey_system,
-    half_farey_system,
-    square_system,
 )
 from .dynamics import TripleRegion, angel_wings, cusp_points, triple_escape_sampler
 from .errors import LaminarError, ParseError
@@ -47,11 +45,7 @@ def _cmd_build(args) -> int:
         col = elementary_col3(args.kind, n=args.n)
         doc = collection_doc(col, args.depth)
     else:
-        system = {
-            "farey": farey_system,
-            "half_farey": half_farey_system,
-            "square": square_system,
-        }[args.what]()
+        system = SYSTEM_BUILDERS[args.what]()
         doc = system_doc(system, args.depth, builder={"name": args.what})
     _emit(dumps(doc), args.out)
     return 0
@@ -164,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     b = sub.add_parser("build", help="build a lamination or elementary collection")
-    b.add_argument("what", choices=["farey", "half_farey", "square", "elementary"])
+    b.add_argument("what", choices=[*SYSTEM_BUILDERS, "elementary"])
     b.add_argument("--kind", choices=list(ELEMENTARY_KINDS), help="elementary kind")
     b.add_argument("--n", type=int, default=None, help="order for finite_cyclic")
     b.add_argument("--depth", type=int, required=True)

@@ -22,8 +22,7 @@ from .errors import BadSeed, OverlappingArcs, UnsupportedKind
 from .field import _Q, FieldElem, SQRT2, SQRT3
 from .lamination import Chord, Col3Collection, Interval, LaminationSystem
 from .lamination import validate_truncation  # noqa: F401  (re-exported, read by perfbench/test_perfbench.py)
-from .mobius import AngleShift, ExpAffine, MobiusMap, ball_enumerate
-from .mobius import apply_to_chord  # noqa: F401  (re-exported, read by perfbench/test_perfbench.py)
+from .mobius import AngleShift, ExpAffine, MobiusMap, apply_to_chord, ball_enumerate
 
 
 def simplest_between(lo, hi):
@@ -237,13 +236,7 @@ class ChordImages:
         for ch in chords:
             im = images.get(ch)
             if im is None:
-                lo = points.get(ch.lo)
-                if lo is None:
-                    lo = points[ch.lo] = g.apply(ch.lo)
-                hi = points.get(ch.hi)
-                if hi is None:
-                    hi = points[ch.hi] = g.apply(ch.hi)
-                im = images[ch] = Chord(lo, hi)
+                im = images[ch] = apply_to_chord(g, ch, points)
             out.append(im)
         return out
 
@@ -446,3 +439,7 @@ def square_system() -> LaminationSystem:
 
 def farey_system() -> LaminationSystem:
     return LaminationSystem("farey", Chart.EXT_REAL, farey_tessellation)
+
+
+# the standalone systems, by the builder name their documents carry
+SYSTEM_BUILDERS = {"farey": farey_system, "half_farey": half_farey_system, "square": square_system}

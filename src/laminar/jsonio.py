@@ -12,6 +12,7 @@ import os
 import tempfile
 
 from .circle import BoundaryPoint, Chart
+from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS
 from .errors import LaminarError, ParseError
 from .lamination import Chord, Col3Collection, LaminationSystem
 from .mobius import map_from_json
@@ -21,8 +22,30 @@ def chords_to_json(chords) -> list:
     return sorted((ch.encode() for ch in dict.fromkeys(chords)))
 
 
-def chords_from_json(data) -> list:
-    return [Chord(BoundaryPoint.parse(a), BoundaryPoint.parse(b)) for a, b in data]
+def _point(points: dict, s) -> BoundaryPoint:
+    p = points.get(s)
+    if p is None:
+        p = points[s] = BoundaryPoint.parse(s)
+    return p
+
+
+def chords_from_json(data, points: dict | None = None) -> list:
+    """The chords of a list in the canonical form ``chords_to_json`` writes.
+
+    Each pair must be in ascending string order and the list strictly
+    ascending.  ``points`` maps each point string to its parsed point, so a
+    string repeated across chords is parsed once and is one shared object.
+    """
+    if points is None:
+        points = {}
+    chords = []
+    prev = None
+    for a, b in data:
+        if not a < b or (prev is not None and not prev < (a, b)):
+            raise ParseError(f"chord list is not in canonical order at {[a, b]!r}")
+        prev = (a, b)
+        chords.append(Chord(_point(points, a), _point(points, b)))
+    return chords
 
 
 def lamination_doc(chords, chart: Chart, depth: int, name: str = "", builder: dict | None = None) -> dict:
@@ -72,19 +95,31 @@ def _depth(doc) -> int:
 
 def _builder(doc):
     builder = doc.get("builder")
-    if builder is not None and not isinstance(builder, dict):
+    if builder is None:
+        return None
+    if not isinstance(builder, dict):
         raise ParseError(f"builder must be an object, not {builder!r}")
-    n = (builder or {}).get("n")
+    for key in ("kind", "name"):
+        v = builder.get(key)
+        if v is not None and type(v) is not str:
+            raise ParseError(f"builder {key} must be a string, not {v!r}")
+    n = builder.get("n")
     if n is not None and type(n) is not int:  # bool is an int subclass
         raise ParseError(f"builder n must be an integer, not {n!r}")
     return builder
 
 
+def builder_kind(builder) -> str | None:
+    """The construction a document's builder names, if any."""
+    builder = builder or {}
+    return builder.get("kind") or builder.get("name")
+
+
 class ParsedLamination:
-    def __init__(self, doc):
+    def __init__(self, doc, points: dict | None = None):
         self.chart = Chart(doc["chart"])
         self.depth = _depth(doc)
-        self.chords = chords_from_json(doc["chords"])
+        self.chords = chords_from_json(doc["chords"], points)
         stray = next((ch for ch in self.chords if ch.chart != self.chart), None)
         if stray is not None:
             raise ParseError(f"chord {stray!r} is not in the document's chart {self.chart.value}")
@@ -98,17 +133,27 @@ class ParsedCollection:
         self.depth = _depth(doc)
         self.params = doc.get("params", {})
         self.generators = parse_group({"generators": doc.get("group", [])})
-        self.cusps = [BoundaryPoint.parse(s) for s in doc.get("cusps", [])]
-        self.systems = [ParsedLamination(s) for s in doc["systems"]]
+        points = {}  # one parse per distinct point string in the document
+        self.cusps = [_point(points, s) for s in doc.get("cusps", [])]
+        self.systems = [ParsedLamination(s, points) for s in doc["systems"]]
         self.builder = _builder(doc)
 
 
 def parse_doc(doc):
+    """A parsed top-level document, whose builder, if it names a known
+    construction, must build what the document holds: a collection for a
+    collection, a single system for a lamination.  Systems nested in a
+    collection carry the collection's builder and are not checked."""
     if "systems" in doc:
-        return ParsedCollection(doc)
-    if "chords" in doc:
-        return ParsedLamination(doc)
-    raise ValueError("not a lamination or collection document")
+        parsed, shape, misfits = ParsedCollection(doc), "collection", SYSTEM_BUILDERS
+    elif "chords" in doc:
+        parsed, shape, misfits = ParsedLamination(doc), "lamination", ELEMENTARY_KINDS
+    else:
+        raise ValueError("not a lamination or collection document")
+    kind = builder_kind(parsed.builder)
+    if kind in misfits:
+        raise ParseError(f"builder {kind!r} does not build a {shape}")
+    return parsed
 
 
 def dumps(doc) -> str:

@@ -405,8 +405,21 @@ def fixed_points(g):
     return g.fixed_points()
 
 
-def apply_to_chord(g, chord):
-    return Chord(g.apply(chord.lo), g.apply(chord.hi))
+def apply_to_chord(g, chord, points: dict | None = None):
+    """The image of ``chord`` under ``g``.
+
+    ``points``, if given, memoizes ``g`` on boundary points across calls, so
+    chords sharing an endpoint map it once; keep one dict per ``g``.
+    """
+    if points is None:
+        points = {}
+    lo = points.get(chord.lo)
+    if lo is None:
+        lo = points[chord.lo] = g.apply(chord.lo)
+    hi = points.get(chord.hi)
+    if hi is None:
+        hi = points[chord.hi] = g.apply(chord.hi)
+    return Chord(lo, hi)
 
 
 def apply_to_interval(g, interval):

@@ -73,6 +73,7 @@ def test_check_detects_planted_linked_pair(tmp_path, capsys):
     run(["build", "farey", "--depth", "2", "--out", str(out)])
     doc = json.loads(out.read_text())
     doc["chords"].append(["r:-5/1,0/1,0/1,0/1", "r:1/2,0/1,0/1,0/1"])
+    doc["chords"].sort()  # keep the document canonical
     (tmp_path / "bad.json").write_text(json.dumps(doc))
     code = run(["check", str(tmp_path / "bad.json"), "--suite", "axioms"])
     assert code == 1
@@ -87,6 +88,8 @@ def test_check_detects_forged_common_endpoint(tmp_path, capsys):
     # plant a shared endpoint far outside both systems' spans
     doc["systems"][0]["chords"].append(["r:20/1,0/1,0/1,0/1", "r:21/1,0/1,0/1,0/1"])
     doc["systems"][1]["chords"].append(["r:20/1,0/1,0/1,0/1", "r:43/2,0/1,0/1,0/1"])
+    for system in doc["systems"][:2]:
+        system["chords"].sort()  # keep the document canonical
     bad = tmp_path / "forged.json"
     bad.write_text(json.dumps(doc))
     code = run(["check", str(bad), "--suite", "axioms", "--suite", "pants"])
@@ -216,6 +219,18 @@ def _assert_one_error_line(capsys, path):
         '{"chart": "disk_angle", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "disk_angle", "depth": 1, "chords": [["θ:0/1,0/1,0/1,0/1", "θ:3/2,0/1,0/1,0/1"]]}',
         '{"chart": "signed_exp", "depth": 1, "chords": [["e:0", "e:x,0/1,0/1,0/1,0/1"]]}',
+        '{"kind": "parabolic", "depth": 1, "systems": [], "builder": {"kind": "farey"}}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]], '
+        '"builder": {"name": "dihedral"}}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]], '
+        '"builder": {"kind": "parabolic"}}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:1/1,0/1,0/1,0/1", "r:inf"], '
+        '["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:1/1,0/1,0/1,0/1", "r:0/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"], '
+        '["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
+        '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]], '
+        '"builder": {"kind": 5}}',
     ],
     ids=[
         "zero-denominator",
@@ -235,6 +250,13 @@ def _assert_one_error_line(capsys, path):
         "points-not-in-the-chart",
         "angle-not-below-one",
         "ray-sign-not-plus-or-minus",
+        "collection-built-by-farey",
+        "lamination-built-by-dihedral",
+        "lamination-built-by-parabolic",
+        "chords-reversed",
+        "chord-endpoints-swapped",
+        "chord-repeated",
+        "builder-kind-not-a-string",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

@@ -207,6 +207,69 @@ def test_invariance_reports_a_dropped_image(collections):
     assert whole.ok
 
 
+def test_point_memo_matches_plain_apply_to_chord(collections):
+    for kind, col in collections.items():
+        for s in col.systems:
+            chords = s.chords(3)
+            for g in col.generators:
+                for h in (g, g.inverse()):
+                    points = {}
+                    for ch in chords:
+                        assert apply_to_chord(h, ch, points) == apply_to_chord(h, ch), (kind, s.name, h, ch)
+                    assert len(points) == len(endpoints_set(chords)), (kind, s.name, h)
+                    assert set(points) == endpoints_set(chords), (kind, s.name, h)
+
+
+def _reference_invariance(systems, generators, depth):
+    """``check_invariance``'s details, from plain ``apply_to_chord``."""
+    maps = [m for g in generators for m in (g, g.inverse())]
+    misses = []
+    for s in systems:
+        nxt = set(s.chords(depth + 1))
+        misses += [(s.name, g, ch) for g in maps for ch in s.chords(depth) if apply_to_chord(g, ch) not in nxt]
+    if misses:
+        s, g, ch = misses[0]
+        return {"misses": len(misses), "first": [s, repr(g), ch.encode()]}
+    return {"depth": depth, "generators": len(maps)}
+
+
+def _dropping(source, depth, image):
+    """``source`` whose depth ``depth + 1`` lacks the chord ``image``."""
+
+    def build(d):
+        return [ch for ch in source.chords(d) if d != depth + 1 or ch != image]
+
+    return LaminationSystem("broken", source.chart, build)
+
+
+def _invariance_details(systems, generators, depth):
+    result = CheckSuiteResult()
+    check_invariance(result, "kind", systems, generators, depth)
+    (entry,) = result.entries
+    return entry.details
+
+
+@pytest.mark.parametrize("kind", ELEMENTARY_KINDS)
+def test_invariance_matches_a_plain_reference_loop(kind):
+    col = elementary_col3(kind, n=5 if kind == "finite_cyclic" else None)
+    cases = [(col.systems, 2), (col.systems, 3)]
+    if kind in ("parabolic", "dihedral"):
+        # drop an image under the last map that the first map does not reach,
+        # so a memo that leaks the first map's images into the others misses
+        # it; dihedral flips reverse the endpoint order of the image chord
+        source, depth = col.systems[1], 2
+        maps = [m for g in col.generators for m in (g, g.inverse())]
+        chords, nxt = source.chords(depth), set(source.chords(depth + 1))
+        first = {apply_to_chord(maps[0], ch) for ch in chords}
+        image = next(im for ch in chords if (im := apply_to_chord(maps[-1], ch)) in nxt and im not in first)
+        cases.append(([col.systems[0], _dropping(source, depth, image), col.systems[2]], depth))
+    for systems, depth in cases:
+        details = _invariance_details(systems, col.generators, depth)
+        assert details == _reference_invariance(systems, col.generators, depth), (kind, depth)
+    if len(cases) == 3:
+        assert details["first"][:2] == ["broken", repr(maps[-1])]
+
+
 def test_elementary_kind_errors():
     with pytest.raises(UnsupportedKind):
         elementary_col3("finite_cyclic", n=1)
