@@ -127,7 +127,7 @@ def respell_point(draw, doc):
 def set_field(draw, doc):
     target = draw(st.sampled_from(_dicts(doc)))
     key = draw(st.sampled_from(["depth", "chart", "kind", "builder", "group", "cusps", "n", "name"]))
-    target[key] = draw(JSON | st.sampled_from(DONORS.get(key) or [None]))
+    target[key] = copy.deepcopy(draw(JSON | st.sampled_from(DONORS.get(key) or [None])))
 
 
 def delete_key(draw, doc):
