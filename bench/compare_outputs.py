@@ -8,11 +8,11 @@ Usage (from a checkout):
 
 For every elementary kind (finite_cyclic with n=5), farey, half_farey and
 square at depths 1-6 it records the sha256 of ``laminar build`` JSON and of
-``laminar render`` SVG; at depths 2 and 4 it records the exit code of
-``laminar check`` and its report with the timings removed.  It also records the
-sha256 of ``laminar dynamics`` output: cusps at radius 8 on PSL(2,Z) and the
-Hecke sqrt3 group, and triples at horizon 200 with seeds 0-3 on two hyperbolic
-matrices, a rotation and an exponent translation.  The laminar under
+``laminar render`` SVG and ``--format json`` arcs; at depths 2 and 4 it records
+the exit code of ``laminar check`` and its report with the timings removed.  It
+also records the sha256 of ``laminar dynamics`` output: cusps at radius 8 and
+wings on PSL(2,Z) and the Hecke sqrt3 group, and triples at horizon 200 with
+seeds 0-3 on two hyperbolic matrices, a rotation and an exponent translation.  The laminar under
 ``ROOT/src`` is imported (default: the checkout holding this script), and the
 run re-executes itself with PYTHONHASHSEED=0 so set iteration order is fixed.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
@@ -87,10 +87,13 @@ def collect(root: str) -> dict:
             for depth in BUILD_DEPTHS:
                 doc = os.path.join(tmp, f"{kind}-{depth}.json")
                 svg = os.path.join(tmp, f"{kind}-{depth}.svg")
+                arcs = os.path.join(tmp, f"{kind}-{depth}.arcs.json")
                 assert main(_build_argv(kind, depth, doc)) == 0, (kind, depth)
                 assert main(["render", doc, "--out", svg]) == 0, (kind, depth)
+                assert main(["render", doc, "--format", "json", "--out", arcs]) == 0, (kind, depth)
                 out[f"build:{kind}:{depth}"] = _sha(doc)
                 out[f"render:{kind}:{depth}"] = _sha(svg)
+                out[f"arcs:{kind}:{depth}"] = _sha(arcs)
                 if depth in CHECK_DEPTHS:
                     report = os.path.join(tmp, f"{kind}-{depth}.check.json")
                     with contextlib.redirect_stdout(io.StringIO()):
@@ -99,6 +102,7 @@ def collect(root: str) -> dict:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
         for group in CUSP_GROUPS:
             out[f"cusps:{group}:8"] = _dynamics(main, tmp, group, ["--test", "cusps", "--radius", "8"])
+            out[f"wings:{group}"] = _dynamics(main, tmp, group, ["--test", "wings"])
         for group in TRIPLE_GROUPS:
             for seed in range(4):
                 test = ["--test", "triples", "--horizon", "200", "--seed", str(seed)]

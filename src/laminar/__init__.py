@@ -30,7 +30,7 @@ from .dynamics import (
     quasi_rainbow_check,
     triple_escape_sampler,
 )
-from .field import ONE, SQRT2, SQRT3, SQRT6, ZERO, FieldElem, field_sign
+from .field import ONE, SQRT2, SQRT3, SQRT6, FieldElem
 from .lamination import (
     Chord,
     Col3Collection,
@@ -59,10 +59,7 @@ from .mobius import (
     MobiusMap,
     SymbolicRoot,
     apply_to_chord,
-    apply_to_interval,
     ball_enumerate,
-    classify,
-    fixed_points,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, elementary_col3
 from .lamination import (
-    LaminationSystem,
+    endpoints_set,
     gaps,  # noqa: F401  (re-exported: callers import it from laminar.checks)
     interval_subset,
     rank_within,
@@ -160,14 +160,14 @@ def check_invariance(result: CheckSuiteResult, name: str, systems, generators, d
 
 
 def check_transversality(result: CheckSuiteResult, name: str, systems, depth: int) -> None:
+    """``systems`` are (name, chords) pairs; ``depth`` is reported, not built."""
     def run():
-        for i in range(len(systems)):
-            for j in range(i + 1, len(systems)):
-                if not transverse(systems[i].chords(depth), systems[j].chords(depth)):
-                    shared = set(systems[i].chords(depth)) & set(systems[j].chords(depth))
+        for i, (name_i, chords_i) in enumerate(systems):
+            for name_j, chords_j in systems[i + 1 :]:
+                if not transverse(chords_i, chords_j):
                     return "fail", {
-                        "pair": [systems[i].name, systems[j].name],
-                        "shared_leaf": next(iter(shared)).encode(),
+                        "pair": [name_i, name_j],
+                        "shared_leaf": next(iter(set(chords_i) & set(chords_j))).encode(),
                     }
         return "pass", {"depth": depth}
 
@@ -175,15 +175,16 @@ def check_transversality(result: CheckSuiteResult, name: str, systems, depth: in
 
 
 def check_pants_like(result: CheckSuiteResult, name: str, systems, generators, cusps, depth: int, radius: int) -> None:
+    """``systems`` are (name, chords) pairs; ``depth`` is reported, not built."""
     declared = set(cusps)
 
     def run_endpoints():
-        for i in range(len(systems)):
-            for j in range(i + 1, len(systems)):
-                _, common = strongly_transverse(systems[i].chords(depth), systems[j].chords(depth))
+        for i, (name_i, chords_i) in enumerate(systems):
+            for name_j, chords_j in systems[i + 1 :]:
+                _, common = strongly_transverse(chords_i, chords_j)
                 if common != declared:
                     return "fail", {
-                        "pair": [systems[i].name, systems[j].name],
+                        "pair": [name_i, name_j],
                         "common": sorted(p.encode() for p in common),
                         "declared": sorted(p.encode() for p in declared),
                     }
@@ -227,43 +228,58 @@ def check_rebuild_match(result: CheckSuiteResult, name: str, file_chords, rebuil
     _timed(result, f"rebuild:{name}", run)
 
 
-def run_suites(parsed, suites=("axioms", "invariance", "transversality", "pants", "coherence"), radius: int = 6) -> CheckSuiteResult:
+def _rebuild_refusal(parsed, systems, files) -> str | None:
+    """Why the rebuilt ``systems`` cannot match the parsed ``files``, decided
+    before building as deep or with as large an order n as the file states:
+    the n rotations of the seed point are endpoints of every finite_cyclic
+    system, and each depth's chords hold those of every shallower depth."""
+    if len(systems) != len(files):
+        return f"the file holds {len(files)} systems, the builder {len(systems)}"
+    if builder_kind(parsed.builder) == "finite_cyclic":
+        n, fewest = parsed.builder["n"], min(len(endpoints_set(f.chords)) for f in files)
+        if n > fewest:
+            return f"order n={n} exceeds the {fewest} endpoints of a system"
+    for s, f in zip(systems, files):
+        for depth in range(parsed.depth + 1):
+            if len(s.chords(depth)) > len(f.chords):
+                return f"{s.name} has more chords at depth {depth} than the file's {len(f.chords)}"
+    return None
+
+
+SUITES = ("axioms", "invariance", "transversality", "pants", "coherence")
+
+
+def run_suites(parsed, suites=SUITES, radius: int = 6) -> CheckSuiteResult:
     """Run the requested suites on a ParsedLamination or ParsedCollection."""
     result = CheckSuiteResult()
-    is_collection = hasattr(parsed, "systems")
-    rebuilt = rebuild_from_builder(getattr(parsed, "builder", None))
-    if is_collection:
-        depth = parsed.depth
-        static = [
-            LaminationSystem.fixed(s.name or f"system{k}", s.chart, s.chords) for k, s in enumerate(parsed.systems)
-        ]
-        if "axioms" in suites:
-            for s in static:
-                check_axioms(result, s.name, s.chords(depth))
-        if "transversality" in suites:
-            check_transversality(result, parsed.kind, static, depth)
-        if "pants" in suites:
-            check_pants_like(result, parsed.kind, static, parsed.generators, parsed.cusps, depth, radius)
-        if rebuilt is not None:
-            if "invariance" in suites:
-                check_invariance(result, parsed.kind, rebuilt.systems, rebuilt.generators, depth)
-            if "coherence" in suites:
-                for s, parsed_s in zip(rebuilt.systems, parsed.systems):
-                    check_rebuild_match(result, f"{parsed.kind}:{s.name}", parsed_s.chords, s.chords(depth))
-                    check_coherence(result, f"{parsed.kind}:{s.name}", s, (1, 2, 3))
-        else:
-            for missing in ("invariance", "coherence"):
-                if missing in suites:
-                    result.entries.append(
-                        CheckEntry(f"{missing}:{parsed.kind}", "skipped", {"reason": "no builder metadata"})
-                    )
+    rebuilt = rebuild_from_builder(parsed.builder)
+    collection = hasattr(parsed, "systems")
+    if collection:
+        name, files, systems = parsed.kind, parsed.systems, rebuilt and rebuilt.systems
+        named = [(s.name or f"system{k}", s.chords) for k, s in enumerate(files)]
     else:
-        name = parsed.name or "lamination"
-        if "axioms" in suites:
-            check_axioms(result, name, parsed.chords)
-        if rebuilt is not None and "coherence" in suites:
-            check_rebuild_match(result, name, parsed.chords, rebuilt.chords(parsed.depth))
-            check_coherence(result, name, rebuilt, (1, 2, 3))
-        elif "coherence" in suites:
-            result.entries.append(CheckEntry(f"coherence:{name}", "skipped", {"reason": "no builder metadata"}))
+        name, files, systems = parsed.name or "lamination", [parsed], [rebuilt]
+        named = [(name, parsed.chords)]
+    if "axioms" in suites:
+        for system_name, chords in named:
+            check_axioms(result, system_name, chords)
+    if collection and "transversality" in suites:
+        check_transversality(result, name, named, parsed.depth)
+    if collection and "pants" in suites:
+        check_pants_like(result, name, named, parsed.generators, parsed.cusps, parsed.depth, radius)
+    wanted = [s for s in (("invariance", "coherence") if collection else ("coherence",)) if s in suites]
+    refusal = _rebuild_refusal(parsed, systems, files) if rebuilt is not None and wanted else None
+    if rebuilt is None or refusal is not None:
+        if refusal is not None:
+            result.entries.append(CheckEntry(f"rebuild:{name}", "fail", {"reason": refusal}))
+        reason = "no builder metadata" if refusal is None else "rebuild refused"
+        result.entries.extend(CheckEntry(f"{suite}:{name}", "skipped", {"reason": reason}) for suite in wanted)
+        return result
+    if "invariance" in wanted:
+        check_invariance(result, name, systems, rebuilt.generators, parsed.depth)
+    if "coherence" in wanted:
+        for s, f in zip(systems, files):
+            label = f"{name}:{s.name}" if collection else name
+            check_rebuild_match(result, label, f.chords, s.chords(parsed.depth))
+            check_coherence(result, label, s, (1, 2, 3))
     return result

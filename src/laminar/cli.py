@@ -8,14 +8,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .checks import run_suites
+from .checks import SUITES, run_suites
 from .circle import BoundaryPoint
 from .constructions import (
     ELEMENTARY_KINDS,
     SYSTEM_BUILDERS,
     elementary_col3,
 )
-from .dynamics import TripleRegion, angel_wings, cusp_points, triple_escape_sampler
+from .dynamics import angel_wings, cusp_points, triple_escape_sampler
 from .errors import LaminarError, ParseError
 from .jsonio import (
     atomic_write_text,
@@ -52,7 +52,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    suites = tuple(args.suite) if args.suite else ("axioms", "invariance", "transversality", "pants", "coherence")
+    suites = tuple(args.suite) if args.suite else SUITES
     worst = 0
     reports = []
     for path in args.files:
@@ -140,8 +140,6 @@ def _cmd_dynamics(args) -> int:
             seq.append(seq[-1].compose(generators[0]))
         report = triple_escape_sampler(
             seq,
-            TripleRegion(args.delta),
-            TripleRegion(args.delta),
             horizon=args.horizon,
             eps=args.eps,
             delta=args.delta,
@@ -153,6 +151,18 @@ def _cmd_dynamics(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type for integers no less than ``low``."""
+
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, not {text}")
+        return int(text)
+
+    parse.__name__ = f"integer >= {low}"  # argparse's "invalid <name> value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="laminar", description="exact circle laminations toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -161,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("what", choices=[*SYSTEM_BUILDERS, "elementary"])
     b.add_argument("--kind", choices=list(ELEMENTARY_KINDS), help="elementary kind")
     b.add_argument("--n", type=int, default=None, help="order for finite_cyclic")
-    b.add_argument("--depth", type=int, required=True)
+    b.add_argument("--depth", type=_at_least(0), required=True)
     b.add_argument("--out", default=None)
     b.set_defaults(fn=_cmd_build)
 
@@ -170,17 +180,17 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument(
         "--suite",
         action="append",
-        choices=["axioms", "invariance", "transversality", "pants", "coherence"],
+        choices=SUITES,
         help="restrict to the named suites (repeatable)",
     )
-    c.add_argument("--radius", type=int, default=6, help="group ball radius for cusp checks")
+    c.add_argument("--radius", type=_at_least(0), default=6, help="group ball radius for cusp checks")
     c.add_argument("--out", default=None, help="write the JSON report here")
     c.set_defaults(fn=_cmd_check)
 
     r = sub.add_parser("render", help="render chord diagrams to SVG")
     r.add_argument("files", nargs="+")
     r.add_argument("--out", default=None)
-    r.add_argument("--size", type=int, default=720)
+    r.add_argument("--size", type=_at_least(1), default=720)
     r.add_argument("--stroke-width", type=float, default=1.4)
     r.add_argument("--format", choices=["svg", "json"], default="svg")
     r.set_defaults(fn=_cmd_render)
@@ -188,12 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("dynamics", help="cusp, angel-wing and triple-escape reports")
     d.add_argument("--group", required=True, help="JSON file with {'generators': [...]}")
     d.add_argument("--test", choices=["cusps", "wings", "triples"], required=True)
-    d.add_argument("--radius", type=int, default=6)
-    d.add_argument("--count", type=int, default=10, help="number of wings")
-    d.add_argument("--horizon", type=int, default=1000)
+    d.add_argument("--radius", type=_at_least(0), default=6)
+    d.add_argument("--count", type=_at_least(0), default=10, help="number of wings")
+    d.add_argument("--horizon", type=_at_least(0), default=1000)
     d.add_argument("--eps", type=float, default=1e-6)
     d.add_argument("--delta", type=float, default=0.05)
-    d.add_argument("--samples", type=int, default=200)
+    d.add_argument("--samples", type=_at_least(0), default=200)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default=None)
     d.set_defaults(fn=_cmd_dynamics)

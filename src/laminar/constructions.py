@@ -130,15 +130,6 @@ class DenseSpec:
             t = shift + simplest_between(b, a)  # ccw on the minus ray descends
         return BoundaryPoint.signed_exp(start.ray, t)
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "chart": self.chart.value,
-            "shift": self.shift.encode(),
-            "minus_shift": self.minus_shift.encode(),
-            "seeds": [s.encode() for s in self.seeds],
-        }
-
 
 class _Fill:
     """The half-Farey fill of one seed arc, as far as it has been computed:
@@ -321,7 +312,7 @@ def _trivial_system(name, shift) -> LaminationSystem:
     def build(depth):
         return half_farey(spec, p1, p2, depth) + half_farey(spec, p2, p1, depth)
 
-    return LaminationSystem(name, Chart.DISK_ANGLE, build, meta={"shift": shift.encode()})
+    return LaminationSystem(name, Chart.DISK_ANGLE, build)
 
 
 def _finite_cyclic_system(name, shift, n) -> LaminationSystem:
@@ -333,7 +324,7 @@ def _finite_cyclic_system(name, shift, n) -> LaminationSystem:
         lambda k: AngleShift(shift + FieldElem((k, n))),
         lambda depth: range(n),
     )
-    return LaminationSystem(name, Chart.DISK_ANGLE, build, meta={"shift": shift.encode(), "n": n})
+    return LaminationSystem(name, Chart.DISK_ANGLE, build)
 
 
 def _parabolic_system(name, shift) -> LaminationSystem:
@@ -346,7 +337,7 @@ def _parabolic_system(name, shift) -> LaminationSystem:
         lambda k: MobiusMap(1, shift + k, 0, 1),
         lambda depth: range(-depth, depth + 1),
     )
-    return LaminationSystem(name, Chart.EXT_REAL, build, meta={"shift": shift.encode()})
+    return LaminationSystem(name, Chart.EXT_REAL, build)
 
 
 def _hyperbolic_base_arcs():
@@ -365,7 +356,7 @@ def _hyperbolic_system(name, shift) -> LaminationSystem:
         lambda k: ExpAffine(False, shift + k),
         lambda depth: range(-depth, depth + 1),
     )
-    return LaminationSystem(name, Chart.SIGNED_EXP, build, meta={"shift": shift.encode()})
+    return LaminationSystem(name, Chart.SIGNED_EXP, build)
 
 
 def _dihedral_system(name, shift, generators) -> LaminationSystem:
@@ -380,13 +371,12 @@ def _dihedral_system(name, shift, generators) -> LaminationSystem:
         base = square_triangulation(spec, (i1, i2), (j1, j2), depth)
         return orbit_closure(base, generators, depth, images)
 
-    return LaminationSystem(name, Chart.SIGNED_EXP, build, meta={"shift": shift.encode()})
+    return LaminationSystem(name, Chart.SIGNED_EXP, build)
 
 
 def elementary_col3(kind: str, n: int | None = None) -> Col3Collection:
     """The elementary invariant triples: trivial, finite_cyclic(n), parabolic,
     hyperbolic (unit translation length) and dihedral."""
-    kind = str(kind).lower()
     if kind == "trivial":
         systems = tuple(_trivial_system(nm, sh) for nm, sh in _SHIFTS)
         return Col3Collection(kind, systems, (), (), {})
@@ -414,13 +404,13 @@ def elementary_col3(kind: str, n: int | None = None) -> Col3Collection:
 ELEMENTARY_KINDS = ("trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral")
 
 
-def half_farey_system(depth_free_name="half_farey") -> LaminationSystem:
+def half_farey_system() -> LaminationSystem:
     """The canonical standalone fill of [0, inf] over the rationals."""
     zero = BoundaryPoint.ext_real(0)
     inf = BoundaryPoint.ext_inf()
     spec = DenseSpec.ext_rationals(0, seeds=(zero, inf))
     return LaminationSystem(
-        depth_free_name,
+        "half_farey",
         Chart.EXT_REAL,
         lambda depth: half_farey(spec, zero, inf, depth),
     )

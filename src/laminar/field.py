@@ -126,8 +126,9 @@ def _product(a1, b1, c1, d1, a2, b2, c2, d2, den) -> "FieldElem":
 def _inverse_parts(a, b, c, d):
     """(n0, n1, n2, n3, z) with 1/(a + b√2 + c√3 + d√6) = (n0 + n1√2 + n2√3 + n3√6)/z.
 
-    Two Galois norms: y = x * conj_sqrt2(x) lies in Q(sqrt3), and
-    z = y * conj_sqrt3(y) in Q; the numerator is conj_sqrt2(x) * conj_sqrt3(y).
+    Two Galois norms: with x' the conjugate sending sqrt2 to -sqrt2 and y' the
+    one sending sqrt3 to -sqrt3, y = x * x' lies in Q(sqrt3), z = y * y' in Q,
+    and the numerator is x' * y'.
     """
     y0 = a * a - 2 * b * b + 3 * c * c - 6 * d * d
     y2 = 2 * (a * c - 2 * b * d)
@@ -223,14 +224,6 @@ class FieldElem:
 
     __rmul__ = __mul__
 
-    def conj_sqrt2(self) -> "FieldElem":
-        """Galois conjugate sending sqrt2 to -sqrt2."""
-        return _raw(self._a, -self._b, self._c, -self._d, self._den)
-
-    def conj_sqrt3(self) -> "FieldElem":
-        """Galois conjugate sending sqrt3 to -sqrt3."""
-        return _raw(self._a, self._b, -self._c, -self._d, self._den)
-
     def inverse(self) -> "FieldElem":
         a, b, c, d, den = self._a, self._b, self._c, self._d, self._den
         if not (b or c or d):
@@ -258,18 +251,6 @@ class FieldElem:
 
     def __rtruediv__(self, other) -> "FieldElem":
         return as_field(other) / self
-
-    def __pow__(self, n: int) -> "FieldElem":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- order structure ------------------------------------------------
 
@@ -426,12 +407,6 @@ def as_field(x) -> FieldElem:
     return FieldElem(_rat(x))
 
 
-def field_sign(x) -> int:
-    """Exact sign of a + b*sqrt2 + c*sqrt3 + d*sqrt6."""
-    return as_field(x).sign()
-
-
-ZERO = FieldElem(0)
 ONE = FieldElem(1)
 SQRT2 = FieldElem(0, 1)
 SQRT3 = FieldElem(0, 0, 1)

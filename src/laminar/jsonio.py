@@ -48,21 +48,17 @@ def chords_from_json(data, points: dict | None = None) -> list:
     return chords
 
 
-def lamination_doc(chords, chart: Chart, depth: int, name: str = "", builder: dict | None = None) -> dict:
+def system_doc(system: LaminationSystem, depth: int, builder: dict | None = None) -> dict:
     doc = {
-        "chart": Chart(chart).value,
+        "chart": system.chart.value,
         "depth": depth,
-        "chords": chords_to_json(chords),
+        "chords": chords_to_json(system.chords(depth)),
     }
-    if name:
-        doc["name"] = name
+    if system.name:
+        doc["name"] = system.name
     if builder:
         doc["builder"] = builder
     return doc
-
-
-def system_doc(system: LaminationSystem, depth: int, builder: dict | None = None) -> dict:
-    return lamination_doc(system.chords(depth), system.chart, depth, system.name, builder)
 
 
 def collection_doc(col: Col3Collection, depth: int) -> dict:
@@ -76,10 +72,6 @@ def collection_doc(col: Col3Collection, depth: int) -> dict:
         "systems": [system_doc(s, depth, builder) for s in col.systems],
         "builder": builder,
     }
-
-
-def group_doc(generators) -> dict:
-    return {"generators": [g.to_json() for g in generators]}
 
 
 def parse_group(doc) -> list:
@@ -131,7 +123,6 @@ class ParsedCollection:
     def __init__(self, doc):
         self.kind = doc["kind"]
         self.depth = _depth(doc)
-        self.params = doc.get("params", {})
         self.generators = parse_group({"generators": doc.get("group", [])})
         points = {}  # one parse per distinct point string in the document
         self.cusps = [_point(points, s) for s in doc.get("cusps", [])]

@@ -94,15 +94,9 @@ class Chord:
             return b
         raise ValueError(f"{p!r} is an endpoint of {self!r}")
 
-    def endpoints(self) -> frozenset:
-        return frozenset((self.lo, self.hi))
-
     @property
     def chart(self) -> Chart:
         return self.lo.chart
-
-    def shares_endpoint(self, other: "Chord") -> bool:
-        return not self.endpoints().isdisjoint(other.endpoints())
 
     def __eq__(self, other):
         if not isinstance(other, Chord):
@@ -128,7 +122,7 @@ def unlinked(c1: Chord, c2: Chord) -> bool:
     """True iff the chords do not cross; sharing an endpoint counts as unlinked."""
     if c1.chart != c2.chart:
         raise ChartMismatch("chords live in different charts")
-    if c1.shares_endpoint(c2):
+    if c1.lo in (c2.lo, c2.hi) or c1.hi in (c2.lo, c2.hi):
         return True
     s1 = circular_order(c1.lo, c2.lo, c1.hi)
     s2 = circular_order(c1.lo, c2.hi, c1.hi)
@@ -139,8 +133,6 @@ def interval_subset(inner: Interval, outer: Interval) -> bool:
     """Exact test for (a,b) being a subset of (c,d) as open circle arcs."""
     a, b = inner.start, inner.end
     c, d = outer.start, outer.end
-    if a == c and b == d:
-        return True
     if a == c:
         return b == d or circular_order(c, b, d) == 1
     if b == c:
@@ -579,21 +571,12 @@ def separate_distinct_pair(chords, first: Interval, second: Interval):
 class LaminationSystem:
     """Depth-parametrized generator of finite truncations (pure in depth)."""
 
-    def __init__(self, name, chart: Chart, builder, generators=(), cusps=(), meta=None):
+    def __init__(self, name, chart: Chart, builder):
         self.name = name
         self.chart = Chart(chart)
         self._builder = builder
-        self.generators = tuple(generators)
-        self.cusps = tuple(cusps)
-        self.meta = dict(meta or {})
         self._cache = {}
         self._truncations = {}
-
-    @classmethod
-    def fixed(cls, name, chart: Chart, chords) -> "LaminationSystem":
-        """A system whose truncation is the same chord set at every depth."""
-        chords = tuple(chords)
-        return cls(name, chart, lambda depth: chords)
 
     def chords(self, depth: int) -> tuple:
         if depth not in self._cache:

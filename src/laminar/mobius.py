@@ -16,7 +16,7 @@ from enum import Enum
 from .circle import BoundaryPoint, Chart
 from .errors import ChartMismatch, InvalidMap
 from .field import FieldElem, _raw, as_field
-from .lamination import Chord, Interval
+from .lamination import Chord
 
 
 class ElementType(Enum):
@@ -197,10 +197,6 @@ class SymbolicRoot:
         disc = float(self.b) ** 2 - 4 * float(self.a) * float(self.c)
         return (-float(self.b) + self.branch * math.sqrt(disc)) / (2 * float(self.a))
 
-    def key(self):
-        parts = [e.encode() for e in (self.a, self.b, self.c)]
-        return "sym:" + ";".join(parts) + f";{self.branch}"
-
     def __repr__(self):
         return f"SymbolicRoot({self.a!r}x^2+{self.b!r}x+{self.c!r}, {'+' if self.branch>0 else '-'})"
 
@@ -352,7 +348,9 @@ def map_from_json(data):
     if action == "angle_shift":
         return AngleShift(FieldElem.parse(data["delta"]))
     if action == "exp_affine":
-        return ExpAffine(bool(data["flip"]), FieldElem.parse(data["tau"]))
+        if type(data["flip"]) is not bool:
+            raise ValueError(f"flip must be a boolean, not {data['flip']!r}")
+        return ExpAffine(data["flip"], FieldElem.parse(data["tau"]))
     raise ValueError(f"unknown map encoding: {data!r}")
 
 
@@ -394,17 +392,6 @@ def ball_enumerate(generators, radius: int):
     return order
 
 
-def classify(g) -> ElementType:
-    return g.element_type()
-
-
-element_type = classify
-
-
-def fixed_points(g):
-    return g.fixed_points()
-
-
 def apply_to_chord(g, chord, points: dict | None = None):
     """The image of ``chord`` under ``g``.
 
@@ -420,7 +407,3 @@ def apply_to_chord(g, chord, points: dict | None = None):
     if hi is None:
         hi = points[chord.hi] = g.apply(chord.hi)
     return Chord(lo, hi)
-
-
-def apply_to_interval(g, interval):
-    return Interval(g.apply(interval.start), g.apply(interval.end))

@@ -11,18 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
+MARGIN = 24.0
+CIRCLE_COLOR = "#222222"
+ENDPOINT_RADIUS = 2.0
+CUSP_RADIUS = 6.0
+PRECISION = 9  # digits after the point in every coordinate
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     size: int = 720
-    margin: float = 24.0
     stroke_width: float = 1.4
-    circle_color: str = "#222222"
-    colors: tuple = PALETTE
-    endpoint_radius: float = 2.0
-    cusp_radius: float = 6.0
-    precision: int = 9
 
 
 def arc_geometry(z1: complex, z2: complex):
@@ -46,35 +45,30 @@ def orthogonality_residual(geom) -> float:
     return abs(abs(center) ** 2 - radius**2 - 1.0)
 
 
-def _fmt(x: float, precision: int) -> str:
-    s = f"{x:.{precision}f}"
-    return "0." + "0" * precision if s == "-" + "0." + "0" * precision else s
+def _fmt(x: float) -> str:
+    s = f"{x:.{PRECISION}f}"
+    return "0." + "0" * PRECISION if s == "-" + "0." + "0" * PRECISION else s
 
 
 class _Canvas:
     def __init__(self, spec: RenderSpec):
-        self.spec = spec
-        self.scale = spec.size / 2.0 - spec.margin
+        self.scale = spec.size / 2.0 - MARGIN
         self.mid = spec.size / 2.0
 
     def xy(self, z: complex) -> tuple:
         return (self.mid + z.real * self.scale, self.mid - z.imag * self.scale)
-
-    def f(self, v: float) -> str:
-        return _fmt(v, self.spec.precision)
 
 
 def _arc_path(canvas: _Canvas, geom) -> str:
     kind, z1, z2, center, radius = geom
     x1, y1 = canvas.xy(z1)
     x2, y2 = canvas.xy(z2)
-    f = canvas.f
     if kind == "line":
-        return f"M {f(x1)} {f(y1)} L {f(x2)} {f(y2)}"
+        return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
     r = radius * canvas.scale
     cross = ((z1 - center).real * (z2 - center).imag) - ((z1 - center).imag * (z2 - center).real)
     sweep = 0 if cross > 0 else 1
-    return f"M {f(x1)} {f(y1)} A {f(r)} {f(r)} 0 0 {sweep} {f(x2)} {f(y2)}"
+    return f"M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"
 
 
 def render_svg(layers, cusps=(), spec: RenderSpec | None = None) -> str:
@@ -85,36 +79,35 @@ def render_svg(layers, cusps=(), spec: RenderSpec | None = None) -> str:
     """
     spec = spec or RenderSpec()
     canvas = _Canvas(spec)
-    f = canvas.f
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" height="{spec.size}" '
         f'viewBox="0 0 {spec.size} {spec.size}">',
         f'<rect width="{spec.size}" height="{spec.size}" fill="white"/>',
-        f'<circle cx="{f(canvas.mid)}" cy="{f(canvas.mid)}" r="{f(canvas.scale)}" '
-        f'fill="none" stroke="{spec.circle_color}" stroke-width="{f(spec.stroke_width)}"/>',
+        f'<circle cx="{_fmt(canvas.mid)}" cy="{_fmt(canvas.mid)}" r="{_fmt(canvas.scale)}" '
+        f'fill="none" stroke="{CIRCLE_COLOR}" stroke-width="{_fmt(spec.stroke_width)}"/>',
     ]
     for idx, chords in enumerate(layers):
-        color = spec.colors[idx % len(spec.colors)]
+        color = PALETTE[idx % len(PALETTE)]
         ordered = sorted(dict.fromkeys(chords), key=lambda c: c.encode())
         for ch in ordered:
             z1, z2 = ch.lo.to_complex(), ch.hi.to_complex()
             path = _arc_path(canvas, arc_geometry(z1, z2))
             lines.append(
                 f'<path d="{path}" fill="none" stroke="{color}" '
-                f'stroke-width="{f(spec.stroke_width)}"/>'
+                f'stroke-width="{_fmt(spec.stroke_width)}"/>'
             )
         seen = dict.fromkeys(p for ch in ordered for p in (ch.lo, ch.hi))
         for p in sorted(seen, key=lambda q: q.encode()):
             x, y = canvas.xy(p.to_complex())
             lines.append(
-                f'<circle cx="{f(x)}" cy="{f(y)}" r="{f(spec.endpoint_radius)}" fill="{color}"/>'
+                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(ENDPOINT_RADIUS)}" fill="{color}"/>'
             )
     for p in sorted(dict.fromkeys(cusps), key=lambda q: q.encode()):
         x, y = canvas.xy(p.to_complex())
         lines.append(
-            f'<circle cx="{f(x)}" cy="{f(y)}" r="{f(spec.cusp_radius)}" fill="none" '
-            f'stroke="#000000" stroke-width="{f(spec.stroke_width)}"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(CUSP_RADIUS)}" fill="none" '
+            f'stroke="#000000" stroke-width="{_fmt(spec.stroke_width)}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -129,6 +130,16 @@ def test_render_collection(tmp_path):
     assert 'stroke="#2ca02c"' in svg.read_text()
 
 
+def test_render_size_and_stroke_width_reach_the_svg(tmp_path):
+    src = tmp_path / "f.json"
+    run(["build", "farey", "--depth", "1", "--out", str(src)])
+    svg = tmp_path / "f.svg"
+    assert run(["render", str(src), "--size", "400", "--stroke-width", "2", "--out", str(svg)]) == 0
+    data = svg.read_text()
+    assert 'width="400" height="400"' in data
+    assert 'stroke-width="2.000000000"' in data and 'stroke-width="1.400000000"' not in data
+
+
 def test_dynamics_cli(tmp_path):
     grp = tmp_path / "grp.json"
     grp.write_text(
@@ -190,6 +201,84 @@ def test_check_rebuild_match_catches_tampered_chords(tmp_path, capsys):
     assert "rebuild:farey" in capsys.readouterr().out
 
 
+PSL2Z = {
+    "generators": [
+        {"matrix": ["0/1,0/1,0/1,0/1", "-1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"]},
+        {"matrix": ["1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1"]},
+    ]
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dynamics", "--group", "GROUP", "--test", "cusps", "--radius", "-1"],
+        ["dynamics", "--group", "GROUP", "--test", "triples", "--samples", "-1"],
+        ["dynamics", "--group", "GROUP", "--test", "triples", "--horizon", "-5"],
+        ["dynamics", "--group", "GROUP", "--test", "wings", "--count", "-2"],
+        ["build", "farey", "--depth", "-1"],
+        ["check", "DOC", "--radius", "-1"],
+        ["render", "DOC", "--size", "-5"],
+        ["render", "DOC", "--size", "0"],
+    ],
+    ids=["radius", "samples", "horizon", "count", "depth", "check-radius", "size-negative", "size-zero"],
+)
+def test_negative_numbers_are_usage_errors(tmp_path, capsys, argv):
+    group, doc = tmp_path / "g.json", tmp_path / "f.json"
+    group.write_text(json.dumps(PSL2Z))
+    assert run(["build", "farey", "--depth", "1", "--out", str(doc)]) == 0
+    argv = [{"GROUP": str(group), "DOC": str(doc)}.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and "Traceback" not in err
+
+
+def _inflated(tmp_path, kind, edit):
+    """A faithful depth-2 document of ``kind`` after ``edit`` rewrote it."""
+    path = tmp_path / "doc.json"
+    if kind == "farey":
+        assert run(["build", "farey", "--depth", "2", "--out", str(path)]) == 0
+    else:
+        assert run(["build", "elementary", "--kind", kind, "--n", "5", "--depth", "2", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _set_order(n):
+    def edit(doc):
+        for d in (doc, *doc["systems"]):
+            d["builder"]["n"] = n
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "kind, edit, skipped",
+    [
+        ("farey", lambda doc: doc.update(depth=15), ["coherence"]),
+        ("finite_cyclic", lambda doc: doc.update(depth=15), ["invariance", "coherence"]),
+        ("finite_cyclic", _set_order(2000), ["invariance", "coherence"]),
+        ("finite_cyclic", _set_order(10**9), ["invariance", "coherence"]),
+        ("finite_cyclic", lambda doc: doc.update(depth=15, systems=doc["systems"][:1]), ["invariance", "coherence"]),
+    ],
+    ids=["farey-depth-15", "finite-cyclic-depth-15", "n-2000", "n-1e9", "one-system-depth-15"],
+)
+def test_check_refuses_a_rebuild_the_file_cannot_match(tmp_path, capsys, kind, edit, skipped):
+    path = _inflated(tmp_path, kind, edit)
+    capsys.readouterr()
+    t0 = time.perf_counter()
+    assert run(["check", str(path)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    out = capsys.readouterr().out
+    assert "[   fail] rebuild:" in out and "'reason':" in out
+    for suite in skipped:
+        assert f"[skipped] {suite}:" in out
+
+
 def _assert_one_error_line(capsys, path):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: cannot parse {path}")
@@ -231,6 +320,8 @@ def _assert_one_error_line(capsys, path):
         '["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]]}',
         '{"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1/1,0/1,0/1,0/1"]], '
         '"builder": {"kind": 5}}',
+        '{"kind": "dihedral", "depth": 1, "systems": [], "group": [{"action": "exp_affine", "flip": "false", '
+        '"tau": "0/1,0/1,0/1,0/1"}], "generators": [{"action": "exp_affine", "flip": 0, "tau": "0/1,0/1,0/1,0/1"}]}',
     ],
     ids=[
         "zero-denominator",
@@ -257,6 +348,7 @@ def _assert_one_error_line(capsys, path):
         "chord-endpoints-swapped",
         "chord-repeated",
         "builder-kind-not-a-string",
+        "flip-not-a-bool",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

@@ -53,7 +53,7 @@ NAMES = ["farey", "half_farey", "square", *ELEMENTARY_KINDS, "ext_real", "disk_a
 SCALARS = (
     st.none()
     | st.booleans()
-    | st.integers(-2, 3)  # a large depth or order makes check build that far
+    | st.integers(-2, 3)
     | st.floats(-10, 10)
     | st.text(max_size=6)
     | st.sampled_from(NAMES)
@@ -127,7 +127,10 @@ def respell_point(draw, doc):
 def set_field(draw, doc):
     target = draw(st.sampled_from(_dicts(doc)))
     key = draw(st.sampled_from(["depth", "chart", "kind", "builder", "group", "cusps", "n", "name"]))
-    target[key] = copy.deepcopy(draw(JSON | st.sampled_from(DONORS.get(key) or [None])))
+    values = JSON | st.sampled_from(DONORS.get(key) or [None])
+    if key in ("depth", "n"):
+        values |= st.integers(-2, 10**9)  # check must not build as far as a file says
+    target[key] = copy.deepcopy(draw(values))
 
 
 def delete_key(draw, doc):
@@ -176,6 +179,9 @@ PINNED = [
     BASES["parabolic"]["systems"][0],  # a system copied out of a bundle
     {**BASES["farey"], "chords": BASES["farey"]["chords"][::-1]},
     {**BASES["farey"], "chords": [BASES["farey"]["chords"][0][::-1]] + BASES["farey"]["chords"][1:]},
+    {**BASES["dihedral"], "group": [{**BASES["dihedral"]["group"][0], "flip": "false"}]},
+    {**BASES["finite_cyclic"], "builder": {"kind": "finite_cyclic", "n": 10**9}},
+    {**BASES["farey"], "depth": 10**9},
 ]
 
 
@@ -186,6 +192,9 @@ PINNED = [
 @example(doc=PINNED[2])
 @example(doc=PINNED[3])
 @example(doc=PINNED[4])
+@example(doc=PINNED[5])
+@example(doc=PINNED[6])
+@example(doc=PINNED[7])
 def test_mutated_documents_keep_the_exit_code_contract(doc):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
