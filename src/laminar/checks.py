@@ -41,10 +41,6 @@ class CheckSuiteResult:
     def ok(self) -> bool:
         return all(e.status != "fail" for e in self.entries)
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.ok else 1
-
     def to_json(self) -> dict:
         return {
             "ok": self.ok,
@@ -232,7 +228,7 @@ def _rebuild_refusal(parsed, systems, files) -> str | None:
     """Why the rebuilt ``systems`` cannot match the parsed ``files``, decided
     before building as deep or with as large an order n as the file states:
     the n rotations of the seed point are endpoints of every finite_cyclic
-    system, and each depth's chords hold those of every shallower depth."""
+    system, and each depth's chords hold those of every shallower one."""
     if len(systems) != len(files):
         return f"the file holds {len(files)} systems, the builder {len(systems)}"
     if builder_kind(parsed.builder) == "finite_cyclic":
@@ -240,7 +236,7 @@ def _rebuild_refusal(parsed, systems, files) -> str | None:
         if n > fewest:
             return f"order n={n} exceeds the {fewest} endpoints of a system"
     for s, f in zip(systems, files):
-        for depth in range(parsed.depth + 1):
+        for depth in range(parsed.depth):
             if len(s.chords(depth)) > len(f.chords):
                 return f"{s.name} has more chords at depth {depth} than the file's {len(f.chords)}"
     return None
@@ -268,10 +264,12 @@ def run_suites(parsed, suites=SUITES, radius: int = 6) -> CheckSuiteResult:
     if collection and "pants" in suites:
         check_pants_like(result, name, named, parsed.generators, parsed.cusps, parsed.depth, radius)
     wanted = [s for s in (("invariance", "coherence") if collection else ("coherence",)) if s in suites]
+    t0 = time.perf_counter()
     refusal = _rebuild_refusal(parsed, systems, files) if rebuilt is not None and wanted else None
+    probe_s, first = time.perf_counter() - t0, len(result.entries)
     if rebuilt is None or refusal is not None:
         if refusal is not None:
-            result.entries.append(CheckEntry(f"rebuild:{name}", "fail", {"reason": refusal}))
+            result.entries.append(CheckEntry(f"rebuild:{name}", "fail", {"reason": refusal}, probe_s))
         reason = "no builder metadata" if refusal is None else "rebuild refused"
         result.entries.extend(CheckEntry(f"{suite}:{name}", "skipped", {"reason": reason}) for suite in wanted)
         return result
@@ -282,4 +280,6 @@ def run_suites(parsed, suites=SUITES, radius: int = 6) -> CheckSuiteResult:
             label = f"{name}:{s.name}" if collection else name
             check_rebuild_match(result, label, f.chords, s.chords(parsed.depth))
             check_coherence(result, label, s, (1, 2, 3))
+    for entry in result.entries[first : first + 1]:  # the first check to read the depths the probe built
+        entry.seconds += probe_s
     return result

@@ -65,7 +65,7 @@ def _cmd_check(args) -> int:
         for entry in result.entries:
             print(f"{path}: {entry.line()}")
         reports.append({"file": path, **result.to_json()})
-        worst = max(worst, result.exit_code)
+        worst = max(worst, 0 if result.ok else 1)
     if args.out:
         atomic_write_text(args.out, dumps({"reports": reports}))
     return worst
