@@ -5,11 +5,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, elementary_col3
+from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, ChordImages, elementary_col3
 from .lamination import (
     endpoints_set,
     gaps,  # noqa: F401  (re-exported: callers import it from laminar.checks)
-    interval_subset,
     rank_within,
     strongly_transverse,
     transverse,
@@ -17,7 +16,7 @@ from .lamination import (
 )
 from .dynamics import cusp_points
 from .jsonio import builder_kind
-from .mobius import apply_to_chord
+from .mobius import apply_to_chord  # noqa: F401  (re-exported, read by perfbench/test_perfbench.py)
 
 
 @dataclass
@@ -92,11 +91,6 @@ def check_axioms(result: CheckSuiteResult, name: str, chords) -> None:
     _timed(result, f"axioms:{name}", run)
 
 
-def gap_refines(fine, coarse) -> bool:
-    """Whether the fine gap's region sits inside the coarse gap's region."""
-    return all(any(interval_subset(u, w) for w in fine.intervals) for u in coarse.intervals)
-
-
 def refined_gap(fine, g: int, coarse):
     """The gap of the ``coarse`` Truncation that gap g of ``fine`` refines, or None.
 
@@ -135,18 +129,13 @@ def check_coherence(result: CheckSuiteResult, name: str, system, depths) -> None
 
 def check_invariance(result: CheckSuiteResult, name: str, systems, generators, depth: int) -> None:
     def run():
-        maps = []
-        for g in generators:
-            maps.append(g)
-            maps.append(g.inverse())
+        maps = [m for g in generators for m in (g, g.inverse())]
+        images = ChordImages()  # a map listed twice (an involution) maps each chord once
         misses = []
         for sysm in systems:
-            nxt = set(sysm.chords(depth + 1))
+            chords, nxt = sysm.chords(depth), set(sysm.chords(depth + 1))
             for g in maps:
-                points = {}  # g on the system's endpoints, each mapped once
-                for ch in sysm.chords(depth):
-                    if apply_to_chord(g, ch, points) not in nxt:
-                        misses.append((sysm.name, g, ch))
+                misses += [(sysm.name, g, ch) for ch, im in zip(chords, images(g, chords)) if im not in nxt]
         if misses:
             s, g, ch = misses[0]
             return "fail", {"misses": len(misses), "first": [s, repr(g), ch.encode()]}

@@ -6,6 +6,7 @@ Exit codes: 0 on success, 1 on a failed check, 2 on usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .checks import SUITES, run_suites
@@ -163,6 +164,20 @@ def _at_least(low: int):
     return parse
 
 
+def _finite(low: float, closed: bool = False):
+    """An argparse type for finite floats above ``low``, or equal to it if ``closed``."""
+    bound = f"{'>=' if closed else '>'} {low:g}"
+
+    def parse(text: str) -> float:
+        x = float(text)
+        if not (math.isfinite(x) and (x >= low if closed else x > low)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound}, not {text}")
+        return x
+
+    parse.__name__ = f"number {bound}"  # argparse's "invalid <name> value" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="laminar", description="exact circle laminations toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -191,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("files", nargs="+")
     r.add_argument("--out", default=None)
     r.add_argument("--size", type=_at_least(1), default=720)
-    r.add_argument("--stroke-width", type=float, default=1.4)
+    r.add_argument("--stroke-width", type=_finite(0), default=1.4)
     r.add_argument("--format", choices=["svg", "json"], default="svg")
     r.set_defaults(fn=_cmd_render)
 
@@ -201,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--radius", type=_at_least(0), default=6)
     d.add_argument("--count", type=_at_least(0), default=10, help="number of wings")
     d.add_argument("--horizon", type=_at_least(0), default=1000)
-    d.add_argument("--eps", type=float, default=1e-6)
-    d.add_argument("--delta", type=float, default=0.05)
+    d.add_argument("--eps", type=_finite(0, closed=True), default=1e-6)
+    d.add_argument("--delta", type=_finite(0), default=0.05)
     d.add_argument("--samples", type=_at_least(0), default=200)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--out", default=None)

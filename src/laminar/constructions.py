@@ -6,7 +6,8 @@ builder deterministic, injective and dense.  Depth semantics are unified: one
 depth unit is one insertion round in every recursive arc plus one orbit shell.
 
 Builders extend instead of rebuilding: a ``DenseSpec`` keeps each half-Farey
-fill and adds only the rounds a deeper call needs, and the orbit builders map
+fill and adds only the rounds a deeper call needs.  Every orbit builder is
+``orbit_closure`` of a base piece under a list of group elements, and maps
 each boundary point once per group element (``ChordImages``), whatever the
 order in which depths are asked for.  ``orbit_closure`` returns the union of
 the orbit images only; callers that want it validated call
@@ -212,7 +213,7 @@ class ChordImages:
 
     Each element maps each boundary point and each chord once, however many
     chord sets it is applied to, so an orbit builder pays only for what is
-    new at a depth.
+    new at a depth.  Equal elements share one memo.
     """
 
     def __init__(self):
@@ -232,8 +233,9 @@ class ChordImages:
         return out
 
 
-def orbit_closure(seed, generators, radius: int, images: ChordImages | None = None) -> list:
-    """Union of generator-ball images of the seed chords, first occurrence kept.
+def orbit_closure(seed, elements, images: ChordImages | None = None) -> list:
+    """The images of the seed chords under each of ``elements`` in list
+    order, first occurrence kept.
 
     The union is not validated; pass ``images`` to reuse point images across
     calls.
@@ -241,29 +243,17 @@ def orbit_closure(seed, generators, radius: int, images: ChordImages | None = No
     if images is None:
         images = ChordImages()
     chords = []
-    for g in ball_enumerate(generators, radius):
+    for g in elements:
         chords += images(g, seed)
     return list(dict.fromkeys(chords))
 
 
-def _shell_builder(base, element, ring):
-    """``build(depth)``: the images of ``base(depth)`` under ``element(k)`` for
-    k in ``ring(depth)``, k-major.  Each element is made once and maps each
-    boundary point once across all depths."""
-    elements = {}
+def _orbit_system(name, chart, base, elements) -> LaminationSystem:
+    """The system whose depth-d chords are ``orbit_closure(base(d),
+    elements(d))``.  The element list is made on each build call, and one
+    ``ChordImages`` maps each boundary point once per element across depths."""
     images = ChordImages()
-
-    def build(depth):
-        fill = base(depth)
-        out = []
-        for k in ring(depth):
-            g = elements.get(k)
-            if g is None:
-                g = elements[k] = element(k)
-            out += images(g, fill)
-        return out
-
-    return build
+    return LaminationSystem(name, chart, lambda depth: orbit_closure(base(depth), elements(depth), images))
 
 
 def farey_tessellation(depth: int) -> list:
@@ -319,12 +309,12 @@ def _finite_cyclic_system(name, shift, n) -> LaminationSystem:
     p0 = BoundaryPoint.disk_angle(0)
     p1 = BoundaryPoint.disk_angle(FieldElem((1, n)))
     spec = DenseSpec.disk_angles(0, seeds=(p0, p1))
-    build = _shell_builder(
+    return _orbit_system(
+        name,
+        Chart.DISK_ANGLE,
         lambda depth: half_farey(spec, p0, p1, depth),
-        lambda k: AngleShift(shift + FieldElem((k, n))),
-        lambda depth: range(n),
+        lambda depth: [AngleShift(shift + FieldElem((k, n))) for k in range(n)],
     )
-    return LaminationSystem(name, Chart.DISK_ANGLE, build)
 
 
 def _parabolic_system(name, shift) -> LaminationSystem:
@@ -332,12 +322,12 @@ def _parabolic_system(name, shift) -> LaminationSystem:
     one = BoundaryPoint.ext_real(1)
     inf = BoundaryPoint.ext_inf()
     spec = DenseSpec.ext_rationals(0, seeds=(zero, one))
-    build = _shell_builder(
+    return _orbit_system(
+        name,
+        Chart.EXT_REAL,
         lambda depth: half_farey(spec, zero, one, depth) + [Chord(zero, inf)],
-        lambda k: MobiusMap(1, shift + k, 0, 1),
-        lambda depth: range(-depth, depth + 1),
+        lambda depth: [MobiusMap(1, shift + k, 0, 1) for k in range(-depth, depth + 1)],
     )
-    return LaminationSystem(name, Chart.EXT_REAL, build)
 
 
 def _hyperbolic_base_arcs():
@@ -351,12 +341,12 @@ def _hyperbolic_base_arcs():
 def _hyperbolic_system(name, shift) -> LaminationSystem:
     i_arc, j_arc = _hyperbolic_base_arcs()
     spec = DenseSpec.exp_rationals(0, seeds=(j_arc[0], j_arc[1], i_arc[0], i_arc[1]))
-    build = _shell_builder(
+    return _orbit_system(
+        name,
+        Chart.SIGNED_EXP,
         lambda depth: square_triangulation(spec, i_arc, j_arc, depth),
-        lambda k: ExpAffine(False, shift + k),
-        lambda depth: range(-depth, depth + 1),
+        lambda depth: [ExpAffine(False, shift + k) for k in range(-depth, depth + 1)],
     )
-    return LaminationSystem(name, Chart.SIGNED_EXP, build)
 
 
 def _dihedral_system(name, shift, generators) -> LaminationSystem:
@@ -365,13 +355,12 @@ def _dihedral_system(name, shift, generators) -> LaminationSystem:
     i1 = BoundaryPoint.signed_exp(-1, HALF - shift)
     i2 = BoundaryPoint.signed_exp(-1, -shift)
     spec = DenseSpec.exp_rationals(shift, -shift, seeds=(j1, j2, i1, i2))
-    images = ChordImages()
-
-    def build(depth):
-        base = square_triangulation(spec, (i1, i2), (j1, j2), depth)
-        return orbit_closure(base, generators, depth, images)
-
-    return LaminationSystem(name, Chart.SIGNED_EXP, build)
+    return _orbit_system(
+        name,
+        Chart.SIGNED_EXP,
+        lambda depth: square_triangulation(spec, (i1, i2), (j1, j2), depth),
+        lambda depth: ball_enumerate(generators, depth),
+    )
 
 
 def elementary_col3(kind: str, n: int | None = None) -> Col3Collection:

@@ -408,15 +408,6 @@ def gaps(chords) -> list[Gap]:
     return list(truncation_of(chords).valid(chords).gaps())
 
 
-def gap_index(gap_list) -> dict:
-    """Map each member interval to its unique gap."""
-    table = {}
-    for g in gap_list:
-        for iv in g.intervals:
-            table[iv] = g
-    return table
-
-
 # -- representation equivalence ----------------------------------------------
 
 

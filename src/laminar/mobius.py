@@ -26,10 +26,33 @@ class ElementType(Enum):
     HYPERBOLIC = "hyperbolic"
 
 
-class MobiusMap:
+class _Action:
+    """A boundary action identified by its canonical key: two actions are
+    equal exactly when their keys are, and hash as their keys do.  Each
+    subclass gives the key as ``_encode()``, prefixed by its kind."""
+
+    __slots__ = ("_key",)
+
+    def key(self) -> str:
+        try:
+            return self._key
+        except AttributeError:
+            self._key = self._encode()
+            return self._key
+
+    def __eq__(self, other):
+        if not isinstance(other, _Action):
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self):
+        return hash(self.key())
+
+
+class MobiusMap(_Action):
     """Projectivized 2x2 map x -> (px+q)/(rx+s) with det > 0, acting on ext_real."""
 
-    __slots__ = ("p", "q", "r", "s", "_key")
+    __slots__ = ("p", "q", "r", "s")
 
     chart = Chart.EXT_REAL
 
@@ -48,27 +71,14 @@ class MobiusMap:
         nums = [n * (lcm // e._den) for e in entries for n in (e._a, e._b, e._c, e._d)]
         g = math.gcd(*nums)
         self.p, self.q, self.r, self.s = (_raw(*(n // g for n in nums[i : i + 4]), 1) for i in (0, 4, 8, 12))
-        self._key = None
 
     @staticmethod
     def identity() -> "MobiusMap":
         return MobiusMap(1, 0, 0, 1)
 
-    def key(self):
-        if self._key is None:
-            # every canonical coefficient is an integer, written "<n>,1"
-            self._key = "m:" + ",".join(
-                f"{e._a},1,{e._b},1,{e._c},1,{e._d},1" for e in (self.p, self.q, self.r, self.s)
-            )
-        return self._key
-
-    def __eq__(self, other):
-        if not isinstance(other, MobiusMap):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+    def _encode(self) -> str:
+        # every canonical coefficient is an integer, written "<n>,1"
+        return "m:" + ",".join(f"{e._a},1,{e._b},1,{e._c},1,{e._d},1" for e in (self.p, self.q, self.r, self.s))
 
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.s, -self.q, -self.r, self.p)
@@ -156,8 +166,8 @@ class MobiusMap:
 class SymbolicRoot:
     """Root of a*x^2 + b*x + c = 0 (disc > 0, irrational over the field).
 
-    ``branch`` +1 selects the larger root; comparisons against field points
-    stay exact through quadratic sign evaluation.
+    ``branch`` +1 selects the larger root.  The root is carried exactly by
+    its quadratic but is only evaluated as a float.
     """
 
     a: FieldElem
@@ -171,28 +181,6 @@ class SymbolicRoot:
             a, b, c = -a, -b, -c
         return SymbolicRoot(a, b, c, branch)
 
-    def value_at(self, t: FieldElem) -> FieldElem:
-        return self.a * t * t + self.b * t + self.c
-
-    def equals_point(self, pt: BoundaryPoint) -> bool:
-        if pt.chart != Chart.EXT_REAL or pt.is_infinity:
-            return False
-        t = pt.x
-        if self.value_at(t).sign() != 0:
-            return False
-        return (self.a * t * 2 + self.b).sign() == self.branch
-
-    def compare_point(self, pt: BoundaryPoint) -> int:
-        """Sign of (root - pt) for a finite field point."""
-        t = pt.x
-        sf = self.value_at(t).sign()
-        sv = (self.a * t * 2 + self.b).sign()
-        if sf == 0:
-            return 0 if sv == self.branch else self.branch
-        if sf < 0:
-            return self.branch
-        return -sv
-
     def __float__(self):
         disc = float(self.b) ** 2 - 4 * float(self.a) * float(self.c)
         return (-float(self.b) + self.branch * math.sqrt(disc)) / (2 * float(self.a))
@@ -201,28 +189,19 @@ class SymbolicRoot:
         return f"SymbolicRoot({self.a!r}x^2+{self.b!r}x+{self.c!r}, {'+' if self.branch>0 else '-'})"
 
 
-class AngleShift:
+class AngleShift(_Action):
     """Rigid rotation theta -> theta + delta (mod 1) of the disk_angle chart."""
 
-    __slots__ = ("delta", "_key")
+    __slots__ = ("delta",)
 
     chart = Chart.DISK_ANGLE
 
     def __init__(self, delta):
         d = as_field(delta)
         self.delta = d - d.floor()
-        self._key = None
 
-    def key(self):
-        if self._key is None:
-            self._key = "a:" + self.delta.encode()
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, AngleShift) and self.delta == other.delta
-
-    def __hash__(self):
-        return hash(self.key())
+    def _encode(self) -> str:
+        return "a:" + self.delta.encode()
 
     @property
     def is_identity(self) -> bool:
@@ -262,32 +241,23 @@ class AngleShift:
         return f"AngleShift({self.delta!r})"
 
 
-class ExpAffine:
+class ExpAffine(_Action):
     """Exact signed_exp action: (s,t) -> (s, t+tau) or (-s, tau-t).
 
     The two forms are the orientation-preserving affine boundary actions on
     the exponent coordinate; ``flip`` swaps the rays and the symbols 0, inf.
     """
 
-    __slots__ = ("flip", "tau", "_key")
+    __slots__ = ("flip", "tau")
 
     chart = Chart.SIGNED_EXP
 
     def __init__(self, flip: bool, tau):
         self.flip = bool(flip)
         self.tau = as_field(tau)
-        self._key = None
 
-    def key(self):
-        if self._key is None:
-            self._key = f"e:{int(self.flip)}:" + self.tau.encode()
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, ExpAffine) and self.flip == other.flip and self.tau == other.tau
-
-    def __hash__(self):
-        return hash(self.key())
+    def _encode(self) -> str:
+        return f"e:{int(self.flip)}:" + self.tau.encode()
 
     @property
     def is_identity(self) -> bool:

@@ -5,6 +5,7 @@ import pytest
 from laminar import elementary_col3, farey_system, half_farey_system, square_system
 from laminar.circle import BoundaryPoint
 from laminar.field import FieldElem
+from laminar.lamination import interval_subset
 
 
 def fr(n, d=1):
@@ -25,6 +26,12 @@ def chord_er(a, b):
         return fr(x)
 
     return Chord(pt(a), pt(b))
+
+
+def gap_refines(fine, coarse) -> bool:
+    """Whether the fine gap's region sits inside the coarse gap's region: the
+    oracle that ``checks.refined_gap`` is tested against."""
+    return all(any(interval_subset(u, w) for w in fine.intervals) for u in coarse.intervals)
 
 
 def random_field_elem(rng: random.Random, span=30, den=8, irrational=True) -> FieldElem:

@@ -241,6 +241,12 @@ PSL2Z = {
     ids=["radius", "samples", "horizon", "count", "depth", "check-radius", "size-negative", "size-zero"],
 )
 def test_negative_numbers_are_usage_errors(tmp_path, capsys, argv):
+    assert "must be an integer" in _usage_error(tmp_path, capsys, argv)
+
+
+def _usage_error(tmp_path, capsys, argv) -> str:
+    """The stderr of ``argv``, with GROUP a PSL(2,Z) file and DOC a farey
+    file, after checking that argparse rejected it with exit 2."""
     group, doc = tmp_path / "g.json", tmp_path / "f.json"
     group.write_text(json.dumps(PSL2Z))
     assert run(["build", "farey", "--depth", "1", "--out", str(doc)]) == 0
@@ -249,7 +255,34 @@ def test_negative_numbers_are_usage_errors(tmp_path, capsys, argv):
         run([*argv, "--out", str(tmp_path / "out")])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "must be an integer" in err and "Traceback" not in err
+    assert err.count("error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "DOC", "--stroke-width", "nan"],
+        ["render", "DOC", "--stroke-width", "0"],
+        ["render", "DOC", "--stroke-width", "-1"],
+        ["dynamics", "--group", "GROUP", "--test", "triples", "--eps", "nan"],
+        ["dynamics", "--group", "GROUP", "--test", "triples", "--eps", "-0.5"],
+        ["dynamics", "--group", "GROUP", "--test", "triples", "--delta", "inf"],
+        ["dynamics", "--group", "GROUP", "--test", "triples", "--delta", "-1"],
+    ],
+    ids=["stroke-nan", "stroke-zero", "stroke-negative", "eps-nan", "eps-negative", "delta-inf", "delta-negative"],
+)
+def test_non_finite_or_negative_floats_are_usage_errors(tmp_path, capsys, argv):
+    assert "must be a finite number" in _usage_error(tmp_path, capsys, argv)
+
+
+def test_a_delta_no_window_can_hold_is_a_degenerate_sample(tmp_path, capsys):
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps(PSL2Z))
+    assert run(["dynamics", "--group", str(group), "--test", "triples", "--horizon", "3", "--delta", "0.4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot satisfy the angular gap in the windows\n"
 
 
 def _inflated(tmp_path, kind, edit):

@@ -6,6 +6,7 @@ import pytest
 from laminar.circle import BoundaryPoint
 from laminar.constructions import (
     ELEMENTARY_KINDS,
+    ChordImages,
     DenseSpec,
     elementary_col3,
     farey_system,
@@ -17,7 +18,7 @@ from laminar.constructions import (
     square_system,
     square_triangulation,
 )
-from laminar.checks import CheckSuiteResult, check_invariance, gap_refines
+from laminar.checks import CheckSuiteResult, check_invariance
 from laminar.errors import BadSeed, OverlappingArcs, UnsupportedKind
 from laminar.field import FieldElem, SQRT2
 from laminar.lamination import (
@@ -29,9 +30,9 @@ from laminar.lamination import (
     transverse,
     validate_truncation,
 )
-from laminar.mobius import AngleShift, MobiusMap, apply_to_chord
+from laminar.mobius import AngleShift, ExpAffine, MobiusMap, apply_to_chord, ball_enumerate
 
-from conftest import INF, chord_er, fr
+from conftest import INF, chord_er, fr, gap_refines
 
 S_EXP = BoundaryPoint.signed_exp
 
@@ -160,10 +161,20 @@ def test_farey_invariance_with_depth_slack():
 
 def test_orbit_closure_examples():
     T = MobiusMap(1, 1, 0, 1)
-    chords = orbit_closure([chord_er(0, "inf")], [T], 2)
+    chords = orbit_closure([chord_er(0, "inf")], ball_enumerate([T], 2))
     assert validate_truncation(chords).ok and set(chords) == {Chord(fr(k), INF) for k in range(-2, 3)}
-    empty = orbit_closure([], [T], 2)
+    empty = orbit_closure([], ball_enumerate([T], 2))
     assert empty == [] and not validate_truncation(empty).ok
+    # an explicit element list, not a ball: its order, first occurrences kept
+    shifts = [MobiusMap(1, k, 0, 1) for k in (2, -1, 0, 2)]
+    assert orbit_closure([chord_er(0, "inf")], shifts) == [chord_er(k, "inf") for k in (2, -1, 0)]
+
+
+def test_chord_images_keep_one_memo_for_equal_maps():
+    images, g, h = ChordImages(), ExpAffine(True, 1), ExpAffine(True, 1)
+    chords = [Chord(S_EXP(1, 0), S_EXP(1, 1)), Chord(S_EXP(-1, 0), S_EXP(1, 1))]
+    assert g is not h
+    assert all(a is b for a, b in zip(images(g, chords), images(h, chords)))
 
 
 def _systems(kind):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from laminar.checks import gap_refines, refined_gap
+from laminar.checks import refined_gap
 from laminar.circle import BoundaryPoint
 from laminar.constructions import farey_tessellation, half_farey_system
 from laminar.errors import InvalidLamination, NotADistinctPair
@@ -15,7 +15,6 @@ from laminar.lamination import (
     c_p_I,
     chords_to_intervals,
     endpoints_set,
-    gap_index,
     gaps,
     interval_subset,
     intervals_to_chords,
@@ -32,7 +31,7 @@ from laminar.lamination import (
     validate_truncation,
 )
 
-from conftest import INF, chord_er, fr
+from conftest import INF, chord_er, fr, gap_refines
 
 
 # -- independent rational-angle model (the brute-force oracle) -------------------
@@ -347,12 +346,6 @@ def test_transversality_helpers():
     assert ok and common == set()
     ok, common = strongly_transverse(a, [chord_er(1, (1, 7))])
     assert not ok and common == {fr(1)}
-
-
-def test_gap_index_unique_membership():
-    chords = farey_tessellation(2)
-    table = gap_index(gaps(chords))
-    assert len(table) == 2 * len(set(chords))
 
 
 def test_duality_is_an_involution():

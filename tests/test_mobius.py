@@ -50,9 +50,6 @@ def test_classification_examples():
     hi = sym[1]
     assert (hi.a, hi.b, hi.c) == (FieldElem(1), FieldElem(-1), FieldElem(-1))
     assert abs(float(hi) - 1.6180339887498949) < 1e-12
-    assert hi.compare_point(fr(1)) == 1 and hi.compare_point(fr(2)) == -1
-    assert sym[0].compare_point(fr(0)) == -1
-    assert not hi.equals_point(fr(1))
 
     rot = MobiusMap(0, -1, 1, 0)
     assert rot.element_type() == ElementType.ELLIPTIC
@@ -143,6 +140,16 @@ def test_chart_action_algebra():
         r0.compose(fifth)
     with pytest.raises(ChartMismatch):
         T.apply(BoundaryPoint.disk_angle(0))
+
+
+def test_actions_are_equal_exactly_when_their_keys_are():
+    quarter = AngleShift(FieldElem((5, 4)))
+    assert quarter == AngleShift(FieldElem((1, 4))) and hash(quarter) == hash(AngleShift(FieldElem((1, 4))))
+    assert ExpAffine(True, 1) == ExpAffine(True, 1)
+    identities = [MobiusMap.identity(), AngleShift(0), ExpAffine(False, 0)]
+    for i, g in enumerate(identities):
+        for h in identities[i + 1 :]:
+            assert g != h and h != g
 
 
 def test_json_round_trip():
