@@ -11,9 +11,9 @@ square at depths 1-6 it records the sha256 of ``laminar build`` JSON and of
 ``laminar render`` SVG and ``--format json`` arcs; at depths 2 and 4 it records
 the exit code of ``laminar check`` and its report with the timings removed.  It
 also records the sha256 of ``laminar dynamics`` output: cusps at radius 8 and
-wings on PSL(2,Z) and the Hecke sqrt3 group, and triples at horizon 200 with
-seeds 0-3 on two hyperbolic matrices, a rotation and an exponent translation.  The laminar under
-``ROOT/src`` is imported (default: the checkout holding this script), and the
+wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and triples at horizon
+200 with seeds 0-3 on two hyperbolic matrices, a rotation and an exponent
+translation.  The laminar under ``ROOT/src`` is imported (default: the checkout holding this script), and the
 run re-executes itself with PYTHONHASHSEED=0 so set iteration order is fixed.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
 """
@@ -38,13 +38,14 @@ _ONE, _ZERO = "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"
 _S = {"matrix": [_ZERO, "-1/1,0/1,0/1,0/1", _ONE, _ZERO]}
 GROUPS = {
     "psl2z": [_S, {"matrix": [_ONE, _ONE, _ZERO, _ONE]}],
+    "hecke_sqrt2": [_S, {"matrix": [_ONE, "0/1,1/1,0/1,0/1", _ZERO, _ONE]}],
     "hecke_sqrt3": [_S, {"matrix": [_ONE, "0/1,0/1,1/1,0/1", _ZERO, _ONE]}],
     "hyp_rational": [{"matrix": ["2/1,0/1,0/1,0/1", _ONE, _ONE, _ONE]}],
     "hyp_sqrt3": [{"matrix": [_ONE, "0/1,0/1,1/1,0/1", "0/1,0/1,1/1,0/1", "4/1,0/1,0/1,0/1"]}],
     "angle_sqrt3_7": [{"action": "angle_shift", "delta": "0/1,0/1,1/7,0/1"}],
     "exp_sqrt2": [{"action": "exp_affine", "flip": False, "tau": "0/1,1/1,0/1,0/1"}],
 }
-CUSP_GROUPS = ("psl2z", "hecke_sqrt3")
+CUSP_GROUPS = ("psl2z", "hecke_sqrt2", "hecke_sqrt3")
 TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
 
 

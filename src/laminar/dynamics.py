@@ -300,15 +300,16 @@ def triple_escape_sampler(
         "k_region": k_region.to_json(),
         "l_region": l_region.to_json(),
     }
-    maps = list(maps)
-    if len(maps) < 3:
-        return SequenceReport("inconclusive", {"reason": "fewer than 3 maps"}, params)
-    rng = random.Random(seed)
+    # the probes are drawn and checked first, so a region that cannot be
+    # sampled is an error however short the sequence
     if k_sample is None:
-        k_sample = k_region.sample(samples, rng)
+        k_sample = k_region.sample(samples, random.Random(seed))
     for tr in k_sample:
         if not k_region.contains(tr, slack=1e-12):
             raise DegenerateSample(f"probe triple {tr} outside the source region")
+    maps = list(maps)
+    if len(maps) < 3:
+        return SequenceReport("inconclusive", {"reason": "fewer than 3 maps"}, params)
     n_steps = min(horizon, len(maps))
     tail_start = n_steps - max(1, n_steps // 4)
     probes = [tuple(_angle_to_real(a) for a in tr) for tr in k_sample]

@@ -2,9 +2,12 @@
 affine actions used in the angle and exponent charts.
 
 Matrices are kept in projective canonical form: scale so the first nonzero
-entry is positive and the sixteen rational coefficients are coprime integers.
-Fixed points outside Q(sqrt2, sqrt3) are carried symbolically by their exact
-defining quadratic and branch sign.
+entry is a positive rational and the sixteen rational coefficients are coprime
+integers.  A map stores these 16 canonical integer numerators, and compose,
+inverse and element type run on them with integer arithmetic only; the entries
+are also kept as field elements for the action on points.  Fixed points
+outside Q(sqrt2, sqrt3) are carried symbolically by their exact defining
+quadratic and branch sign.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from enum import Enum
 
 from .circle import BoundaryPoint, Chart
 from .errors import ChartMismatch, InvalidMap
-from .field import FieldElem, _raw, as_field
+from .field import FieldElem, _inverse_parts, _make, _new, _raw, _sign4, as_field
 from .lamination import Chord
 
 
@@ -49,10 +52,56 @@ class _Action:
         return hash(self.key())
 
 
-class MobiusMap(_Action):
-    """Projectivized 2x2 map x -> (px+q)/(rx+s) with det > 0, acting on ext_real."""
+_ZERO = (0, 0, 0, 0)
+_IDENTITY = (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0)
+# every canonical coefficient is an integer, written "<n>,1"
+_KEY = "m:" + ",".join(["{},1"] * 16)
 
-    __slots__ = ("p", "q", "r", "s")
+
+def _mul_add(x, y, u=_ZERO, v=_ZERO, k=1):
+    """x*y + k*u*v for field elements given as 4-int numerator tuples."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    a3, b3, c3, d3 = u
+    a4, b4, c4, d4 = v
+    if k != 1:
+        a3, b3, c3, d3 = k * a3, k * b3, k * c3, k * d3
+    return (
+        a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2 + a3 * a4 + 2 * b3 * b4 + 3 * c3 * c4 + 6 * d3 * d4,
+        a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2) + a3 * b4 + b3 * a4 + 3 * (c3 * d4 + d3 * c4),
+        a1 * c2 + c1 * a2 + 2 * (b1 * d2 + d1 * b2) + a3 * c4 + c3 * a4 + 2 * (b3 * d4 + d3 * b4),
+        a1 * d2 + d1 * a2 + b1 * c2 + c1 * b2 + a3 * d4 + d3 * a4 + b3 * c4 + c3 * b4,
+    )
+
+
+def _canonical(n) -> tuple:
+    """The canonical form of 16 integer numerators (a, b, c, d of p, q, r, s),
+    not all zero: coprime, and the first nonzero one of p, q, r, s a positive
+    integer."""
+    i = next(i for i in (0, 4, 8, 12) if n[i] or n[i + 1] or n[i + 2] or n[i + 3])
+    a, b, c, d = n[i : i + 4]
+    if b or c or d:
+        # times its conjugate product, the first nonzero entry becomes its
+        # norm z, an integer; the other entries stay integral
+        *conj, z = _inverse_parts(a, b, c, d)
+        n = (*_mul_add(n[0:4], conj), *_mul_add(n[4:8], conj), *_mul_add(n[8:12], conj), *_mul_add(n[12:16], conj))
+        a = z
+    g = math.gcd(*n)
+    if a < 0:
+        g = -g
+    if g != 1:
+        n = tuple(x // g for x in n)
+    return tuple(n)
+
+
+class MobiusMap(_Action):
+    """Projectivized 2x2 map x -> (px+q)/(rx+s) with det > 0, acting on ext_real.
+
+    ``_n`` holds the 16 canonical integer numerators; ``p``, ``q``, ``r``, ``s``
+    are the same entries as field elements.
+    """
+
+    __slots__ = ("_n", "p", "q", "r", "s")
 
     chart = Chart.EXT_REAL
 
@@ -62,40 +111,56 @@ class MobiusMap(_Action):
         if det.sign() <= 0:
             raise InvalidMap("determinant must be positive")
         entries = (p, q, r, s)
-        first = next(e for e in entries if not e.is_zero())
-        # dividing by the first nonzero entry kills any real scalar, rational
-        # or not; each entry is then (n0..n3)/den in lowest terms, so the lcm
-        # of the dens clears every coefficient's denominator
-        entries = tuple(e / first for e in entries)
         lcm = math.lcm(*(e._den for e in entries))
-        nums = [n * (lcm // e._den) for e in entries for n in (e._a, e._b, e._c, e._d)]
-        g = math.gcd(*nums)
-        self.p, self.q, self.r, self.s = (_raw(*(n // g for n in nums[i : i + 4]), 1) for i in (0, 4, 8, 12))
+        self._load(_canonical([n * (lcm // e._den) for e in entries for n in (e._a, e._b, e._c, e._d)]))
+
+    def _load(self, n) -> None:
+        self._n = n
+        self.p = _raw(n[0], n[1], n[2], n[3], 1)
+        self.q = _raw(n[4], n[5], n[6], n[7], 1)
+        self.r = _raw(n[8], n[9], n[10], n[11], 1)
+        self.s = _raw(n[12], n[13], n[14], n[15], 1)
+
+    @staticmethod
+    def _of(n) -> "MobiusMap":
+        """The map with canonical numerators ``n``, whose determinant must be positive."""
+        if _sign4(*_mul_add(n[0:4], n[12:16], n[4:8], n[8:12], -1)) <= 0:
+            raise InvalidMap("determinant must be positive")
+        g = _new(MobiusMap)
+        g._load(n)
+        return g
 
     @staticmethod
     def identity() -> "MobiusMap":
         return MobiusMap(1, 0, 0, 1)
 
     def _encode(self) -> str:
-        # every canonical coefficient is an integer, written "<n>,1"
-        return "m:" + ",".join(f"{e._a},1,{e._b},1,{e._c},1,{e._d},1" for e in (self.p, self.q, self.r, self.s))
+        return _KEY.format(*self._n)
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.s, -self.q, -self.r, self.p)
+        n = self._n
+        return MobiusMap._of(_canonical((*n[12:16], *(-x for x in n[4:12]), *n[0:4])))
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         if not isinstance(other, MobiusMap):
             raise ChartMismatch("cannot compose a matrix with a chart action")
-        return MobiusMap(
-            self.p * other.p + self.q * other.r,
-            self.p * other.q + self.q * other.s,
-            self.r * other.p + self.s * other.r,
-            self.r * other.q + self.s * other.s,
+        m, n = self._n, other._n
+        p1, q1, r1, s1 = m[0:4], m[4:8], m[8:12], m[12:16]
+        p2, q2, r2, s2 = n[0:4], n[4:8], n[8:12], n[12:16]
+        return MobiusMap._of(
+            _canonical(
+                (
+                    *_mul_add(p1, p2, q1, r2),
+                    *_mul_add(p1, q2, q1, s2),
+                    *_mul_add(r1, p2, s1, r2),
+                    *_mul_add(r1, q2, s1, s2),
+                )
+            )
         )
 
     @property
     def is_identity(self) -> bool:
-        return self.q.is_zero() and self.r.is_zero() and self.p == self.s
+        return self._n == _IDENTITY
 
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
         if x.chart != Chart.EXT_REAL:
@@ -109,15 +174,13 @@ class MobiusMap(_Action):
             return BoundaryPoint.ext_inf()
         return BoundaryPoint.ext_real((self.p * x.x + self.q) / denom)
 
-    def trace_disc(self) -> FieldElem:
-        """(p-s)^2 + 4qr, the discriminant tr^2 - 4 det of the fixed quadratic."""
-        d = self.p - self.s
-        return d * d + self.q * self.r * 4
-
     def element_type(self) -> ElementType:
-        if self.is_identity:
+        n = self._n
+        if n == _IDENTITY:
             return ElementType.IDENTITY
-        s = self.trace_disc().sign()
+        # (p-s)^2 + 4qr, the discriminant tr^2 - 4 det of the fixed quadratic
+        d = (n[0] - n[12], n[1] - n[13], n[2] - n[14], n[3] - n[15])
+        s = _sign4(*_mul_add(d, d, n[4:8], n[8:12], 4))
         if s < 0:
             return ElementType.ELLIPTIC
         if s == 0:
@@ -151,12 +214,11 @@ class MobiusMap(_Action):
         return {"matrix": [e.encode() for e in (self.p, self.q, self.r, self.s)]}
 
     def to_float_matrix(self):
-        entries = (self.p, self.q, self.r, self.s)
+        n = self._n
         # projective rescale so huge integer entries survive float conversion
-        top = max(n.bit_length() for e in entries for n in (e._a, e._b, e._c, e._d)) - 1
-        if top > 500:
-            entries = tuple(e / 2 ** (top - 100) for e in entries)
-        return tuple(float(e) for e in entries)
+        top = max(x.bit_length() for x in n) - 1
+        den = 2 ** (top - 100) if top > 500 else 1
+        return tuple(float(_make(n[i], n[i + 1], n[i + 2], n[i + 3], den)) for i in (0, 4, 8, 12))
 
     def __repr__(self):
         return f"MobiusMap[{self.p!r},{self.q!r};{self.r!r},{self.s!r}]"

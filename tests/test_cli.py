@@ -280,9 +280,11 @@ def test_non_finite_or_negative_floats_are_usage_errors(tmp_path, capsys, argv):
 def test_a_delta_no_window_can_hold_is_a_degenerate_sample(tmp_path, capsys):
     group = tmp_path / "g.json"
     group.write_text(json.dumps(PSL2Z))
-    assert run(["dynamics", "--group", str(group), "--test", "triples", "--horizon", "3", "--delta", "0.4"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: cannot satisfy the angular gap in the windows\n"
+    # a horizon of 2 gives fewer than 3 maps, which must not skip the sampling
+    for horizon in ("2", "3"):
+        assert run(["dynamics", "--group", str(group), "--test", "triples", "--horizon", horizon, "--delta", "0.4"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: cannot satisfy the angular gap in the windows\n"
 
 
 def _inflated(tmp_path, kind, edit):

@@ -5,7 +5,7 @@ import pytest
 
 from laminar.circle import BoundaryPoint, circular_order
 from laminar.errors import ChartMismatch, InvalidMap, LaminarError
-from laminar.field import SQRT2, SQRT3, FieldElem
+from laminar.field import SQRT2, SQRT3, FieldElem, _inverse_parts
 from laminar.mobius import (
     AngleShift,
     ElementType,
@@ -226,6 +226,50 @@ def test_canonical_form_matches_fraction_canonicalization():
         want, key = _fraction_canonical(p, q, r, s)
         assert (g.p, g.q, g.r, g.s) == want and g.key() == key
         checked += 1
+
+
+def _negative_norm_map(rng):
+    """A random map whose first nonzero entry is irrational with a negative
+    norm (the product of its four conjugates), after a zero p half the time."""
+    while True:
+        p, q, r, s = (random_field_elem(rng, span=40, den=12) for _ in range(4))
+        lead = FieldElem((rng.randint(-9, 9), 7), (rng.randint(1, 9), 5), (rng.randint(-5, 5), 3), rng.randint(-3, 3))
+        if _inverse_parts(lead._a, lead._b, lead._c, lead._d)[4] >= 0:
+            continue
+        if rng.random() < 0.5:
+            p, q = FieldElem(0), lead
+        else:
+            p = lead
+        det = (p * s - q * r).sign()
+        if det:
+            # negating r and s keeps the leading entry, and its norm
+            return MobiusMap(p, q, r, s) if det > 0 else MobiusMap(p, q, -r, -s)
+
+
+def _assert_canonical(g, p, q, r, s):
+    want, key = _fraction_canonical(p, q, r, s)
+    assert (g.p, g.q, g.r, g.s) == want and g.key() == key
+
+
+def test_compose_and_inverse_match_fraction_canonicalization():
+    rng = random.Random(11)
+    maps = [_negative_norm_map(rng) for _ in range(60)]
+    assert sum(g.p.is_zero() for g in maps) > 10
+    hecke = ball_enumerate([S, MobiusMap(1, SQRT3, 0, 1)], 3)
+    pairs = [(g, h) for g in hecke for h in hecke] + [tuple(rng.sample(maps, 2)) for _ in range(300)]
+    for g, h in pairs:
+        _assert_canonical(
+            g.compose(h),
+            g.p * h.p + g.q * h.r,
+            g.p * h.q + g.q * h.s,
+            g.r * h.p + g.s * h.r,
+            g.r * h.q + g.s * h.s,
+        )
+    for g in maps + hecke:
+        _assert_canonical(g.inverse(), g.s, -g.q, -g.r, g.p)
+        assert g.compose(g.inverse()).is_identity and g.inverse().compose(g).is_identity
+    with pytest.raises(InvalidMap):
+        MobiusMap(1, 2, 2, 4)
 
 
 def _fraction_float_matrix(g):
