@@ -136,6 +136,9 @@ def _cmd_dynamics(args) -> int:
             ],
         }
     else:
+        if not generators:
+            print("error: the group has no generator to iterate", file=sys.stderr)
+            return 2
         seq = [generators[0]]
         for _ in range(args.horizon - 1):
             seq.append(seq[-1].compose(generators[0]))

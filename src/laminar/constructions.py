@@ -59,8 +59,7 @@ class DenseSpec:
     so that ``half_farey`` extends a fill instead of recomputing it.
     """
 
-    def __init__(self, kind: str, chart: Chart, seeds=(), shift=0, minus_shift=None):
-        self.kind = kind
+    def __init__(self, chart: Chart, seeds=(), shift=0, minus_shift=None):
         self.chart = Chart(chart)
         self.shift = FieldElem(0) + shift
         self.minus_shift = self.shift if minus_shift is None else FieldElem(0) + minus_shift
@@ -70,15 +69,15 @@ class DenseSpec:
 
     @staticmethod
     def ext_rationals(shift=0, seeds=()) -> "DenseSpec":
-        return DenseSpec("ext_rationals", Chart.EXT_REAL, seeds, shift)
+        return DenseSpec(Chart.EXT_REAL, seeds, shift)
 
     @staticmethod
     def disk_angles(shift=0, seeds=()) -> "DenseSpec":
-        return DenseSpec("disk_angles", Chart.DISK_ANGLE, seeds, shift)
+        return DenseSpec(Chart.DISK_ANGLE, seeds, shift)
 
     @staticmethod
     def exp_rationals(plus_shift=0, minus_shift=None, seeds=()) -> "DenseSpec":
-        return DenseSpec("exp_rationals", Chart.SIGNED_EXP, seeds, plus_shift, minus_shift)
+        return DenseSpec(Chart.SIGNED_EXP, seeds, plus_shift, minus_shift)
 
     def seed_index(self, pt: BoundaryPoint) -> int:
         try:
@@ -89,11 +88,11 @@ class DenseSpec:
     def contains(self, pt: BoundaryPoint) -> bool:
         if pt.chart != self.chart:
             return False
-        if self.kind == "ext_rationals":
+        if self.chart is Chart.EXT_REAL:
             if pt.is_infinity:
                 return any(s.is_infinity for s in self.seeds)
             return (pt.x - self.shift).is_rational()
-        if self.kind == "disk_angles":
+        if self.chart is Chart.DISK_ANGLE:
             diff = pt.x - self.shift
             return (diff - diff.floor()).is_rational()
         if pt.x is None:
@@ -103,7 +102,7 @@ class DenseSpec:
 
     def first_interior(self, start: BoundaryPoint, end: BoundaryPoint) -> BoundaryPoint:
         """The enumeration-first point strictly inside the ccw arc (start, end)."""
-        if self.kind == "ext_rationals":
+        if self.chart is Chart.EXT_REAL:
             if start.is_infinity:
                 w = (end.x - self.shift).rational()
                 return BoundaryPoint.ext_real(self.shift - simplest_between(-w, None))
@@ -112,7 +111,7 @@ class DenseSpec:
                 return BoundaryPoint.ext_real(self.shift + simplest_between(lo, None))
             hi = (end.x - self.shift).rational()
             return BoundaryPoint.ext_real(self.shift + simplest_between(lo, hi))
-        if self.kind == "disk_angles":
+        if self.chart is Chart.DISK_ANGLE:
             a = (start.x - self.shift)
             b = (end.x - self.shift)
             a = (a - a.floor()).rational()
@@ -256,36 +255,28 @@ def _orbit_system(name, chart, base, elements) -> LaminationSystem:
     return LaminationSystem(name, chart, lambda depth: orbit_closure(base(depth), elements(depth), images))
 
 
+def _farey_builder():
+    """The depth -> Farey tessellation builder with its own spec."""
+    zero = BoundaryPoint.ext_real(0)
+    inf = BoundaryPoint.ext_inf()
+    spec = DenseSpec.ext_rationals(0, seeds=(zero, inf))
+
+    def build(depth):
+        pos = half_farey(spec, zero, inf, depth)
+        return list(dict.fromkeys(pos + half_farey(spec, inf, zero, max(depth - 1, 0))))
+
+    return build
+
+
 def farey_tessellation(depth: int) -> list:
-    """Mediant subdivision fixture on the modular group's cusp points.
+    """The modular group's Farey tessellation as two half-Farey fills.
 
-    Depth 1 splits the positive arc only (three chords); later rounds split
-    every pending arc, negative side included.
+    The simplest rational between two Farey neighbours is their mediant, so
+    depth d is the fill of [0, inf] to depth d and of [inf, 0] to depth d - 1:
+    depth 1 splits the positive arc only (three chords), and later rounds
+    split every pending arc, negative side included.
     """
-
-    def pt(frac):
-        n, d = frac
-        return BoundaryPoint.ext_inf() if d == 0 else BoundaryPoint.ext_real(FieldElem((n, d)))
-
-    chords = [Chord(pt((0, 1)), pt((1, 0)))]
-    pos = ((0, 1), (1, 0))
-    neg = ((-1, 0), (0, 1))
-    pending = []
-    if depth >= 1:
-        m = (1, 1)
-        chords.append(Chord(pt(pos[0]), pt(m)))
-        chords.append(Chord(pt(m), pt(pos[1])))
-        pending = [(pos[0], m), (m, pos[1]), neg]
-    for _ in range(max(0, depth - 1)):
-        nxt = []
-        for a, b in pending:
-            m = (a[0] + b[0], a[1] + b[1])
-            chords.append(Chord(pt(a), pt(m)))
-            chords.append(Chord(pt(m), pt(b)))
-            nxt.append((a, m))
-            nxt.append((m, b))
-        pending = nxt
-    return list(dict.fromkeys(chords))
+    return _farey_builder()(depth)
 
 
 # -- elementary collections ----------------------------------------------------
@@ -330,21 +321,22 @@ def _parabolic_system(name, shift) -> LaminationSystem:
     )
 
 
-def _hyperbolic_base_arcs():
+def _square_base():
+    """The depth -> square triangulation builder on exponents [0, 1] of
+    both rays, with its own spec."""
     i1 = BoundaryPoint.signed_exp(-1, 1)
     i2 = BoundaryPoint.signed_exp(-1, 0)
     j1 = BoundaryPoint.signed_exp(1, 0)
     j2 = BoundaryPoint.signed_exp(1, 1)
-    return (i1, i2), (j1, j2)
+    spec = DenseSpec.exp_rationals(0, seeds=(j1, j2, i1, i2))
+    return lambda depth: square_triangulation(spec, (i1, i2), (j1, j2), depth)
 
 
 def _hyperbolic_system(name, shift) -> LaminationSystem:
-    i_arc, j_arc = _hyperbolic_base_arcs()
-    spec = DenseSpec.exp_rationals(0, seeds=(j_arc[0], j_arc[1], i_arc[0], i_arc[1]))
     return _orbit_system(
         name,
         Chart.SIGNED_EXP,
-        lambda depth: square_triangulation(spec, i_arc, j_arc, depth),
+        _square_base(),
         lambda depth: [ExpAffine(False, shift + k) for k in range(-depth, depth + 1)],
     )
 
@@ -407,17 +399,11 @@ def half_farey_system() -> LaminationSystem:
 
 def square_system() -> LaminationSystem:
     """The canonical standalone square triangulation in the exponent chart."""
-    i_arc, j_arc = _hyperbolic_base_arcs()
-    spec = DenseSpec.exp_rationals(0, seeds=(j_arc[0], j_arc[1], i_arc[0], i_arc[1]))
-    return LaminationSystem(
-        "square",
-        Chart.SIGNED_EXP,
-        lambda depth: square_triangulation(spec, i_arc, j_arc, depth),
-    )
+    return LaminationSystem("square", Chart.SIGNED_EXP, _square_base())
 
 
 def farey_system() -> LaminationSystem:
-    return LaminationSystem("farey", Chart.EXT_REAL, farey_tessellation)
+    return LaminationSystem("farey", Chart.EXT_REAL, _farey_builder())
 
 
 # the standalone systems, by the builder name their documents carry

@@ -16,10 +16,13 @@ w -> (p*w + q) / (r*w + s):
 * ``ExpAffine(False, tau)``: diag(e^(tau/2), e^(-tau/2)); with the flip,
   (0, -e^(tau/2), e^(-tau/2), 0).
 
-Sampler tolerances: an image triple has collapsed when two of its angles lie
-within ``eps`` in circular distance; it visits the target region when it is in
-the region with every bound relaxed by ``eps``; witness angles are reported
-rounded to 9 digits.
+Sampler tolerances: one rule measures a triple, the least circular gap of its
+angles sorted in [0, 1).  A probe is sampled when that gap is at least the
+region's ``min_gap``; an image triple has collapsed when it is at most ``eps``,
+which is exactly "two of its angles lie within ``eps`` in circular distance";
+it visits the target region when it is in the region with every bound relaxed
+by ``eps``.  Each image triple is sorted once, and region membership takes it
+sorted.  Witness angles are reported rounded to 9 digits.
 """
 
 from __future__ import annotations
@@ -220,9 +223,10 @@ def _act(m, w: float) -> float:
     return (p * w + q) / den
 
 
-def _triple_gap_ok(tr, delta: float) -> bool:
-    a, b, c = sorted(tr)
-    return (b - a) >= delta and (c - b) >= delta and (1.0 - (c - a)) >= delta
+def _min_gap(s) -> float:
+    """The least circular gap of a sorted triple in [0, 1)."""
+    a, b, c = s
+    return min(b - a, c - b, 1.0 - (c - a))
 
 
 def sample_triples(count: int, rng: random.Random, windows=None, min_gap: float = 0.05):
@@ -234,11 +238,11 @@ def sample_triples(count: int, rng: random.Random, windows=None, min_gap: float 
         if tries > 200 * count:
             raise DegenerateSample("cannot satisfy the angular gap in the windows")
         if windows:
-            tr = tuple(rng.uniform(*windows[i % len(windows)]) % 1.0 for i in range(3))
+            tr = sorted(rng.uniform(*windows[i % len(windows)]) % 1.0 for i in range(3))
         else:
-            tr = tuple(rng.random() for _ in range(3))
-        if _triple_gap_ok(tr, min_gap):
-            out.append(tuple(sorted(tr)))
+            tr = sorted(rng.random() for _ in range(3))
+        if _min_gap(tr) >= min_gap:
+            out.append(tuple(tr))
     return out
 
 
@@ -256,9 +260,10 @@ class TripleRegion:
             return True
         return any(lo - slack <= a <= hi + slack for lo, hi in self.windows)
 
-    def contains(self, tr, slack: float = 0.0) -> bool:
-        s = tuple(sorted(x % 1.0 for x in tr))
-        if not _triple_gap_ok(s, self.min_gap - slack):
+    def contains(self, s, slack: float = 0.0) -> bool:
+        """Membership of ``s``, a sorted triple in [0, 1), with every bound
+        relaxed by ``slack``."""
+        if _min_gap(s) < self.min_gap - slack:
             return False
         return all(self._in_windows(a, slack) for a in s)
 
@@ -305,7 +310,7 @@ def triple_escape_sampler(
     if k_sample is None:
         k_sample = k_region.sample(samples, random.Random(seed))
     for tr in k_sample:
-        if not k_region.contains(tr, slack=1e-12):
+        if not k_region.contains(sorted(x % 1.0 for x in tr), slack=1e-12):
             raise DegenerateSample(f"probe triple {tr} outside the source region")
     maps = list(maps)
     if len(maps) < 3:
@@ -319,16 +324,10 @@ def triple_escape_sampler(
     for n, g in enumerate(maps[:n_steps], start=1):
         m = g.to_float_matrix()
         for ki, ws in enumerate(probes):
-            img = tuple(_real_to_angle(_act(m, w)) for w in ws)
-            s = sorted(img)
-            collapsed = (
-                _circ_dist(s[0], s[1]) <= eps
-                or _circ_dist(s[1], s[2]) <= eps
-                or _circ_dist(s[0], s[2]) <= eps
-            )
-            if not collapsed:
+            s = sorted([_real_to_angle(_act(m, w)) for w in ws])
+            if _min_gap(s) > eps:
                 last_uncollapsed[ki] = n
-            if l_region.contains(img, slack=eps):
+            if l_region.contains(s, slack=eps):
                 hit_count += 1
                 if n > tail_start:
                     tail_hits += 1

@@ -287,6 +287,13 @@ def test_a_delta_no_window_can_hold_is_a_degenerate_sample(tmp_path, capsys):
         assert err == "error: cannot satisfy the angular gap in the windows\n"
 
 
+def test_an_empty_group_has_no_map_to_iterate(tmp_path, capsys):
+    group = tmp_path / "g.json"
+    group.write_text(json.dumps({"generators": []}))
+    assert run(["dynamics", "--group", str(group), "--test", "triples"]) == 2
+    assert capsys.readouterr().err == "error: the group has no generator to iterate\n"
+
+
 def _inflated(tmp_path, kind, edit):
     """A faithful depth-2 document of ``kind`` after ``edit`` rewrote it."""
     path = tmp_path / "doc.json"

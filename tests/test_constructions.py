@@ -32,7 +32,7 @@ from laminar.lamination import (
 )
 from laminar.mobius import AngleShift, ExpAffine, MobiusMap, apply_to_chord, ball_enumerate
 
-from conftest import INF, chord_er, fr, gap_refines
+from conftest import INF, chord_er, farey_mediants, fr, gap_refines
 
 S_EXP = BoundaryPoint.signed_exp
 
@@ -146,6 +146,11 @@ def test_farey_tessellation_examples():
             return (1, 0) if p.is_infinity else (int(p.x.a.numerator), int(p.x.a.denominator))
         (a, b), (c, d) = nd(ch.lo), nd(ch.hi)
         assert abs(a * d - b * c) == 1
+
+
+def test_farey_tessellation_is_the_mediant_subdivision():
+    for d in range(10):
+        assert set(farey_tessellation(d)) == set(farey_mediants(d)), d
 
 
 def test_farey_invariance_with_depth_slack():

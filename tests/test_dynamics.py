@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+import re
 
 import pytest
 
@@ -8,6 +11,7 @@ from laminar.dynamics import (
     _act,
     _angle_to_real,
     _circ_dist,
+    _min_gap,
     _real_to_angle,
     angel_wings,
     approximation_sequence_check,
@@ -166,6 +170,24 @@ def test_float_matrix_action_matches_exact_apply():
             assert _circ_dist(got, g.apply(p).to_angle()) < 1e-9, (g, p)
 
 
+def test_min_gap_collapses_exactly_when_some_pair_is_within_eps():
+    # on sorted triples in [0, 1), random, wrapping round 0 and dyadic (ties
+    # and repeated angles), against eps values that include every pairwise
+    # distance and its float neighbours
+    rng = random.Random(5)
+    below_one = math.nextafter(1.0, 0.0)
+    triples = []
+    for _ in range(4000):
+        triples.append(sorted(rng.random() for _ in range(3)))
+        triples.append(sorted([rng.uniform(0.0, 1e-6), min(1.0 - rng.uniform(0.0, 1e-6), below_one), rng.random()]))
+        triples.append(sorted(rng.randrange(4096) / 4096 for _ in range(3)))
+    for s in triples:
+        dists = [_circ_dist(x, y) for x, y in itertools.combinations(s, 2)]
+        near = [math.nextafter(d, t) for d in dists for t in (0.0, 1.0)]
+        for eps in (0.0, 1e-6, 0.05, 1 / 4096, 2 / 4096, *dists, *near):
+            assert (_min_gap(s) <= eps) == any(d <= eps for d in dists), (s, eps)
+
+
 def test_sampler_north_south_dynamics():
     powers = [DIAG]
     for _ in range(399):
@@ -193,6 +215,15 @@ def test_sampler_small_inputs_and_errors():
             [DIAG, DIAG, DIAG],
             k_sample=[(0.0, 0.001, 0.5)],
         )
+    # a caller's probe is reduced and sorted before the region test, and the
+    # error still names the triple as given
+    with pytest.raises(DegenerateSample, match=re.escape("(0.5, 1.0, 0.001)")):
+        triple_escape_sampler([DIAG, DIAG, DIAG], k_sample=[(0.5, 1.0, 0.001)])
+    rots = [AngleShift(SQRT2 * n) for n in range(1, 41)]
+    raw = triple_escape_sampler(rots, k_sample=[(0.5, 1.1, 0.3)], horizon=40)
+    reduced = triple_escape_sampler(rots, k_sample=[tuple(sorted(x % 1.0 for x in (0.5, 1.1, 0.3)))], horizon=40)
+    assert raw.witness["hit_count"] > 0
+    assert raw.to_json() == reduced.to_json()
     import random
 
     with pytest.raises(DegenerateSample):
