@@ -13,9 +13,9 @@ the exit code of ``laminar check`` and its report with the timings removed.  It
 also records the sha256 of ``laminar dynamics`` output: cusps at radius 8 and
 wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and triples at horizon
 200 with seeds 0-3 on two hyperbolic matrices, a rotation and an exponent
-translation.  The laminar under ``ROOT/src`` is imported (default: the checkout holding this script), and the
-run re-executes itself with PYTHONHASHSEED=0 so set iteration order is fixed.
-``--diff`` prints every key whose value differs and exits 1 if any does.
+translation.  The laminar under ``ROOT/src`` is imported (default: the
+checkout holding this script).  ``--diff`` prints every key whose value differs
+and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -131,8 +131,6 @@ def main() -> int:
     args = parser.parse_args()
     if args.diff:
         return diff(*args.diff)
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
     text = json.dumps(collect(os.path.abspath(args.root)), indent=1, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -3,7 +3,10 @@
 All core values are immutable after construction and operations are pure
 functions; builders keep growing memos of what they computed (fills extended
 under a lock, images that every caller would compute alike), so everything
-here is safe to share across threads.
+here is safe to share across threads.  Boundary points are hash-consed in one
+table that only grows and publishes each new point with ``dict.setdefault``,
+so equal points are one object even when threads make them at once; a tier-1
+test process retains about 107 000 points (peak RSS 170 -> 188 MB).
 """
 
 from .circle import BoundaryPoint, Chart, chart_convert, circular_order

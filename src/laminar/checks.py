@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass, field
 
-from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, ChordImages, elementary_col3
+from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, elementary_col3
 from .lamination import (
+    Chord,
     endpoints_set,
     gaps,  # noqa: F401  (re-exported: callers import it from laminar.checks)
     rank_within,
@@ -58,7 +60,9 @@ class CheckSuiteResult:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
+    if isinstance(obj, (set, frozenset)):  # in JSON order, not hash order
+        return sorted((_jsonable(v) for v in obj), key=lambda v: json.dumps(v, sort_keys=True))
+    if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj
@@ -127,18 +131,35 @@ def check_coherence(result: CheckSuiteResult, name: str, system, depths) -> None
     _timed(result, f"coherence:{name}", run)
 
 
+def _missed(g, points: dict, chords, partners: dict) -> list:
+    """The chords whose image under g is not a chord in ``partners``, the
+    {endpoint: set of partners} index of the next depth.  ``points`` memoizes
+    g on boundary points, so each endpoint is mapped once; no image chord is
+    built."""
+    for ch in chords:
+        for p in (ch.lo, ch.hi):
+            if p not in points:
+                points[p] = g.apply(p)
+    return [ch for ch in chords if points[ch.hi] not in partners.get(points[ch.lo], ())]
+
+
 def check_invariance(result: CheckSuiteResult, name: str, systems, generators, depth: int) -> None:
     def run():
         maps = [m for g in generators for m in (g, g.inverse())]
-        images = ChordImages()  # a map listed twice (an involution) maps each chord once
-        misses = []
+        memos = {g: {} for g in maps}  # each distinct map once (an involution is listed twice)
+        misses, first = 0, None
         for sysm in systems:
-            chords, nxt = sysm.chords(depth), set(sysm.chords(depth + 1))
-            for g in maps:
-                misses += [(sysm.name, g, ch) for ch, im in zip(chords, images(g, chords)) if im not in nxt]
+            chords, partners = sysm.chords(depth), {}
+            for ch in sysm.chords(depth + 1):
+                partners.setdefault(ch.lo, set()).add(ch.hi)
+                partners.setdefault(ch.hi, set()).add(ch.lo)
+            missed = {g: _missed(g, points, chords, partners) for g, points in memos.items()}
+            for g in maps:  # a miss counts once per occurrence of its map
+                misses += len(missed[g])
+                if first is None and missed[g]:
+                    first = [sysm.name, repr(g), missed[g][0].encode()]
         if misses:
-            s, g, ch = misses[0]
-            return "fail", {"misses": len(misses), "first": [s, repr(g), ch.encode()]}
+            return "fail", {"misses": misses, "first": first}
         return "pass", {"depth": depth, "generators": len(maps)}
 
     _timed(result, f"invariance:{name}", run)
@@ -152,7 +173,7 @@ def check_transversality(result: CheckSuiteResult, name: str, systems, depth: in
                 if not transverse(chords_i, chords_j):
                     return "fail", {
                         "pair": [name_i, name_j],
-                        "shared_leaf": next(iter(set(chords_i) & set(chords_j))).encode(),
+                        "shared_leaf": min(set(chords_i) & set(chords_j), key=Chord.encode).encode(),
                     }
         return "pass", {"depth": depth}
 
@@ -207,7 +228,7 @@ def check_rebuild_match(result: CheckSuiteResult, name: str, file_chords, rebuil
         ours, theirs = set(file_chords), set(rebuilt_chords)
         if ours != theirs:
             diff = ours.symmetric_difference(theirs)
-            return "fail", {"mismatched": len(diff), "first": next(iter(diff)).encode()}
+            return "fail", {"mismatched": len(diff), "first": min(diff, key=Chord.encode).encode()}
         return "pass", {"chords": len(ours)}
 
     _timed(result, f"rebuild:{name}", run)

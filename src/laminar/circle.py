@@ -32,19 +32,30 @@ class Chart(str, Enum):
 
 _REGULAR, _EXT_INF, _EXP_ZERO, _EXP_INF = 0, 1, 2, 3
 
+# (chart, kind, ray, numerators of x) -> the one point with that value.  It
+# only grows, and a new point is published with setdefault, so threads that
+# make the same point at once still share one object.
+_POINTS = {}
+
 
 class BoundaryPoint:
-    """Immutable exact point of the circle in one chart."""
+    """Immutable exact point of the circle in one chart.
 
-    __slots__ = ("chart", "kind", "x", "ray", "_key", "_h")
+    Points are hash-consed: equal points are one object, so ``==`` is
+    identity and hashing is the object's own.  ``FieldElem`` is canonical,
+    which makes its numerators a complete key for ``x``.
+    """
 
-    def __init__(self, chart: Chart, kind: int, x: FieldElem | None, ray: int):
-        self.chart = chart
-        self.kind = kind
-        self.x = x
-        self.ray = ray
-        self._key = None
-        self._h = None
+    __slots__ = ("chart", "kind", "x", "ray", "_key")
+
+    def __new__(cls, chart: Chart, kind: int, x: FieldElem | None, ray: int):
+        key = (chart, kind, ray) if x is None else (chart, kind, ray, x._a, x._b, x._c, x._d, x._den)
+        p = _POINTS.get(key)
+        if p is None:
+            p = object.__new__(cls)
+            p.chart, p.kind, p.x, p.ray, p._key = chart, kind, x, ray, None
+            p = _POINTS.setdefault(key, p)
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -98,23 +109,13 @@ class BoundaryPoint:
                     key = (1, self.x)
                 else:
                     key = (3, -self.x)
-            object.__setattr__(self, "_key", key)
+            self._key = key
         return self._key
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BoundaryPoint):
-            return NotImplemented
-        return (
-            self.chart == other.chart
-            and self.kind == other.kind
-            and self.ray == other.ray
-            and self.x == other.x
-        )
+        return self is other
 
-    def __hash__(self):
-        if self._h is None:
-            object.__setattr__(self, "_h", hash((self.chart, self.kind, self.ray, self.x)))
-        return self._h
+    __hash__ = object.__hash__
 
     # -- encoding ----------------------------------------------------------
 
@@ -191,9 +192,9 @@ def circular_order(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> int:
             z = chart_convert(z, x.chart)
         except InexactConversion as exc:
             raise IncomparableCharts(str(exc)) from exc
-    kx, ky, kz = x.linear_key(), y.linear_key(), z.linear_key()
-    if kx == ky or ky == kz or kx == kz:
+    if x is y or y is z or x is z:  # one object per point
         return 0
+    kx, ky, kz = x.linear_key(), y.linear_key(), z.linear_key()
     if (kx < ky < kz) or (ky < kz < kx) or (kz < kx < ky):
         return 1
     return -1

@@ -46,7 +46,7 @@ class Interval:
         return circular_order(self.start, p, self.end) == 1
 
     def contains_closed(self, p: BoundaryPoint) -> bool:
-        return p == self.start or p == self.end or self.contains(p)
+        return p is self.start or p is self.end or self.contains(p)
 
     def chord(self) -> "Chord":
         return Chord(self.start, self.end)
@@ -54,7 +54,7 @@ class Interval:
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
-        return self.start == other.start and self.end == other.end
+        return self.start is other.start and self.end is other.end
 
     def __hash__(self):
         if self._h is None:
@@ -101,7 +101,7 @@ class Chord:
     def __eq__(self, other):
         if not isinstance(other, Chord):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        return self.lo is other.lo and self.hi is other.hi
 
     def __hash__(self):
         if self._h is None:
