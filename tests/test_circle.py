@@ -1,11 +1,14 @@
 import cmath
 import random
+import threading
+from fractions import Fraction
 
 import pytest
 
 from laminar.circle import BoundaryPoint, Chart, chart_convert, circular_order
 from laminar.errors import ChartMismatch, IncomparableCharts, InexactConversion
-from laminar.field import FieldElem
+from laminar.field import SQRT2, FieldElem
+from laminar.mobius import AngleShift, ExpAffine, MobiusMap
 
 from conftest import INF, fr, random_field_elem
 
@@ -172,3 +175,73 @@ def test_exp_affine_preserves_signed_exp_order():
         for _ in range(200):
             x, y, z = rng.sample(pool, 3)
             assert circular_order(g.apply(x), g.apply(y), g.apply(z)) == circular_order(x, y, z)
+
+
+def test_equal_points_are_one_object():
+    q = FieldElem((1, 2), 1)
+    made = [
+        tuple(BoundaryPoint.ext_real(x) for x in (2, Fraction(4, 2), FieldElem((1, 2)) * 4)),
+        (BoundaryPoint.ext_real(q), BoundaryPoint.ext_real(SQRT2 + FieldElem((1, 2)))),
+        (BoundaryPoint.ext_inf(), BoundaryPoint.ext_inf(), INF),
+        (BoundaryPoint.disk_angle(FieldElem((1, 4))), BoundaryPoint.disk_angle(FieldElem((9, 4)))),
+        (BoundaryPoint.signed_exp(-1, q), BoundaryPoint.signed_exp(-1, FieldElem((1, 2), 1))),
+        (BoundaryPoint.exp_zero(), BoundaryPoint.exp_zero()),
+        (BoundaryPoint.exp_inf(), BoundaryPoint.exp_inf()),
+    ]
+    for same in made:
+        assert all(p is same[0] for p in same)
+        assert BoundaryPoint.parse(same[0].encode()) is same[0]
+    assert len({id(same[0]) for same in made}) == len(made)
+
+
+def test_conversions_and_actions_return_the_one_object():
+    for k in range(4):
+        disk = BoundaryPoint.disk_angle(FieldElem((k, 4)))
+        assert chart_convert(chart_convert(disk, Chart.EXT_REAL), Chart.DISK_ANGLE) is disk
+    s = BoundaryPoint.signed_exp
+    for p in (BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf(), s(1, 0), s(-1, 0)):
+        assert chart_convert(chart_convert(p, Chart.EXT_REAL), Chart.SIGNED_EXP) is p
+        assert chart_convert(chart_convert(p, Chart.DISK_ANGLE), Chart.SIGNED_EXP) is p
+    assert chart_convert(BoundaryPoint.disk_angle(FieldElem((1, 2))), Chart.EXT_REAL) is fr(0)
+    rng = random.Random(5)
+    cases = [
+        (MobiusMap(1, 1, 0, 1), [INF] + [BoundaryPoint.ext_real(random_field_elem(rng)) for _ in range(10)]),
+        (MobiusMap(0, -1, 1, 0), [INF, fr(0)] + [BoundaryPoint.ext_real(random_field_elem(rng)) for _ in range(10)]),
+        (AngleShift(FieldElem((1, 3), (1, 5))), [BoundaryPoint.disk_angle(FieldElem((k, 7))) for k in range(7)]),
+        (ExpAffine(True, SQRT2), [BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf(), BoundaryPoint.signed_exp(1, 3)]),
+    ]
+    for g, points in cases:
+        for p in points:
+            assert g.inverse().apply(g.apply(p)) is p
+            assert g.apply(p) is g.compose(g.inverse()).compose(g).apply(p)
+
+
+def test_points_in_different_charts_are_never_equal():
+    # the same circle point in each chart: chart_convert relates them, == does not
+    for trio in (
+        (fr(0), BoundaryPoint.disk_angle(FieldElem((1, 2))), BoundaryPoint.exp_zero()),
+        (INF, BoundaryPoint.disk_angle(0), BoundaryPoint.exp_inf()),
+        (fr(1), BoundaryPoint.disk_angle(FieldElem((3, 4))), BoundaryPoint.signed_exp(1, 0)),
+    ):
+        assert len(set(trio)) == 3
+        assert all(a != b for a in trio for b in trio if a is not b)
+
+
+def test_threads_that_make_the_same_points_share_one_object():
+    # numerators far beyond anything a construction reaches, so every point is new
+    rng = random.Random(14)
+    values = [((rng.getrandbits(200), rng.getrandbits(100) | 1), rng.choice((1, -1))) for _ in range(2000)]
+    barrier, made = threading.Barrier(8), [None] * 8
+
+    def make(k):
+        barrier.wait()
+        made[k] = [BoundaryPoint.signed_exp(sign, FieldElem(x)) for x, sign in values]
+
+    threads = [threading.Thread(target=make, args=(k,)) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for column in zip(*made):
+        assert all(p is column[0] for p in column)
+    assert len({id(p) for p in made[0]}) == len(set(values))

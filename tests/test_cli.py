@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import laminar
 from laminar.cli import main
 from laminar.constructions import farey_tessellation
 from laminar.jsonio import chords_to_json, dumps, load
@@ -216,6 +220,35 @@ def test_check_tampered_collection_still_runs_invariance(tmp_path, capsys):
     build = ["elementary", "--kind", "finite_cyclic", "--n", "5"]
     out = _check_tampered(tmp_path, capsys, build, ["invariance", "coherence"])
     assert "[   pass] invariance:finite_cyclic" in out  # it reads the rebuilt systems only
+
+
+def test_failing_check_details_do_not_follow_hash_order(tmp_path):
+    """A failing check names the same chords under every hash seed: the least
+    differing or shared chord by its encoding, not the first a set yields."""
+    out = tmp_path / "p.json"
+    run(["build", "elementary", "--kind", "parabolic", "--depth", "4", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    rational, sqrt2 = (next(s for s in doc["systems"] if s["name"] == name) for name in ("rational", "sqrt2"))
+    kept = rational["chords"]
+    rational["chords"] = kept[5:]
+    (tmp_path / "dropped.json").write_text(json.dumps(doc))
+    rational["chords"] = sorted(kept + sqrt2["chords"])
+    (tmp_path / "shared.json").write_text(json.dumps(doc))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(laminar.__file__))}
+    reports = set()
+    for seed in range(4):
+        argv = [sys.executable, "-m", "laminar.cli", "check", "dropped.json", "shared.json", "--out", f"r{seed}.json"]
+        env["PYTHONHASHSEED"] = str(seed)
+        proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stderr
+        data = json.loads((tmp_path / f"r{seed}.json").read_text())
+        for report in data["reports"]:
+            for check in report["checks"]:
+                del check["seconds"]
+        reports.add(json.dumps(data, sort_keys=True))
+    assert len(reports) == 1
+    (text,) = reports
+    assert '"mismatched": 5' in text and '"shared_leaf"' in text
 
 
 PSL2Z = {

@@ -6,7 +6,7 @@ import pytest
 from laminar.checks import refined_gap
 from laminar.circle import BoundaryPoint
 from laminar.constructions import farey_tessellation, half_farey_system
-from laminar.errors import InvalidLamination, NotADistinctPair
+from laminar.errors import ChartMismatch, InvalidLamination, NotADistinctPair
 from laminar.field import FieldElem
 from laminar.lamination import (
     Chord,
@@ -580,3 +580,17 @@ def test_coherence_candidate_is_none_on_pairs_that_do_not_refine():
             assert got is None
             misses += 1
     assert misses > 0
+
+
+def test_chords_are_unordered_pairs_and_reject_bad_endpoints():
+    u, v = fr(1, 3), fr(-2)
+    a, b = Chord(u, v), Chord(v, u)
+    assert a == b and hash(a) == hash(b) and (a.lo, a.hi) == (b.lo, b.hi) == (v, u)
+    assert Chord(fr(-2), fr(1, 3)) == a  # from points made again
+    assert Interval(u, v) != Interval(v, u) and Interval(u, v) == Interval(fr(1, 3), fr(-2))
+    disk = BoundaryPoint.disk_angle(FieldElem((1, 2)))
+    for bad, err in (((u, fr(1, 3)), ValueError), ((INF, INF), ValueError), ((fr(0), disk), ChartMismatch)):
+        with pytest.raises(err):
+            Chord(*bad)
+        with pytest.raises(err):
+            Interval(*bad)
