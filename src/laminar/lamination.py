@@ -280,7 +280,8 @@ class Truncation:
     ``chords`` is the segment ``segs[k]`` = (i, j), i < j, in (i, -j) order.
     One stack sweep over the segments decides validity (``ok``) and builds the
     nesting forest: ``parent[k]`` is -1 for a root, and ``kids[-1]`` lists the
-    roots.  Gap 0 is the region around the chart basepoint and gap k + 1 the
+    roots; a chain, witness or rainbow depth is one bisect plus a tree path in
+    it.  Gap 0 is the region around the chart basepoint and gap k + 1 the
     region just inside chord k; gaps are built on first use.
     """
 
@@ -357,6 +358,31 @@ class Truncation:
             self._by_encoding = sorted(self.points, key=BoundaryPoint.encode)
         return self._by_encoding
 
+    def around(self, a: int, b: int) -> int:
+        """The innermost chord (i, j) with i < a and b < j, or -1: one bisect for
+        the last chord starting before a, then up its ancestors to j > b."""
+        k = bisect_left(self.segs, (a,)) - 1
+        while k >= 0 and self.segs[k][1] <= b:
+            k = self.parent[k]
+        return k
+
+    def chain(self, x: int, c: int, d: int) -> list:
+        """(a, b, gap) for each side around rank x within (c, d), ascending by
+        inclusion.  Inner sides (i, j) are around(x, x) and its ancestors, up
+        to the first outside (c, d); an outer side (j, i) fits only if c > d,
+        when its chord holds [d, c] (so is around(d + 1, c - 1) or above) and
+        x is off [i, j].  Walking up, inner sides widen and outer ones narrow.
+        """
+        segs, parent, inner, outer, k = self.segs, self.parent, [], [], self.around(x, x)
+        while k >= 0 and rank_within(*segs[k], c, d, self.modulus):
+            inner.append((*segs[k], parent[k] + 1))
+            k = parent[k]
+        k = self.around(d + 1, c - 1) if c > d else -1
+        while k >= 0 and not segs[k][0] <= x <= segs[k][1]:
+            outer.append((segs[k][1], segs[k][0], k + 1))
+            k = parent[k]
+        return inner + outer[::-1]
+
     def nesting(self, x: int) -> int:
         """Most chords separating the odd rank x from some gap.
 
@@ -368,11 +394,11 @@ class Truncation:
             self._heights = h = [0] * (len(self.segs) + 1)
             for k in range(len(self.segs) - 1, -1, -1):
                 h[self.parent[k]] = max(h[self.parent[k]], h[k] + 1)
-        path = [-1]  # the root region, then each chord around x, outermost first
-        while inner := [c for c in self.kids[path[-1]] if self.segs[c][0] < x < self.segs[c][1]]:
-            path.append(inner[0])
+        path = [self.around(x, x)]  # each chord around x, innermost first, then the root region
+        while path[-1] != -1:
+            path.append(self.parent[path[-1]])
         best, below = 0, None
-        for d, node in enumerate(reversed(path)):
+        for d, node in enumerate(path):
             best = max(best, d, *(d + 1 + self._heights[c] for c in self.kids[node] if c != below))
             below = node
         return best
@@ -436,17 +462,20 @@ def intervals_to_chords(intervals) -> set:
 def c_p_I(chords, p: BoundaryPoint, outer: Interval) -> list[Interval]:
     """The chain {J in the interval family : p in J, J a subset of outer}.
 
-    Returned ascending by inclusion, so the last element is the maximum.
-    Membership is decided on ranks unless ``Truncation.ranks`` defers to the
-    exact predicates; nested intervals have strictly growing rank length.
+    Returned ascending by inclusion, so the last element is the maximum.  A
+    crossing chord set raises InvalidLamination.  The chain is one walk in the
+    nesting forest (``Truncation.chain``) unless ``Truncation.ranks`` defers to
+    the exact predicates; nested intervals have strictly growing rank length.
     """
+    chords = list(chords)
     t = truncation_of(chords)
+    if t.chords:
+        t.valid(chords)
     m, ranks = t.modulus, t.ranks(p, outer.start, outer.end)
     if ranks is None:
         found = [s for s in t.sides() if t.interval(*s).contains(p) and interval_subset(t.interval(*s), outer)]
     else:
-        x, c, d = ranks
-        found = [(a, b) for a, b in t.sides() if rank_inside(a, x, b, m) and rank_within(a, b, c, d, m)]
+        found = [(a, b) for a, b, _ in t.chain(*ranks)]
     found.sort(key=lambda s: (s[1] - s[0]) % m)
     if not all(rank_within(*u, *v, m) for u, v in zip(found, found[1:])):
         raise InvalidLamination("C_p^I is not totally ordered: invalid truncation")
@@ -515,9 +544,9 @@ def separate_distinct_pair(chords, first: Interval, second: Interval):
 
     Witness points are tried in the deterministic encoding order of the
     truncation's endpoint set; for each witness p the chain maximum of
-    C_p^{I*} ∩ C_p^{J*} names the gap, which is then verified to contain both
-    intervals inside members.  The witness search runs on ranks; the members
-    holding the two intervals are found with the exact ``interval_subset``.
+    C_p^{I*} ∩ C_p^{J*}, one walk in the nesting forest (``Truncation.chain``),
+    names the gap, which is then verified to contain both intervals inside
+    members, found with the exact ``interval_subset``.
     """
     t = truncation_of(chords)
     if first.chord() not in t.node_of or second.chord() not in t.node_of:
@@ -533,17 +562,7 @@ def separate_distinct_pair(chords, first: Interval, second: Interval):
         x = t.rank[p]
         if x in (f0, f1, s0, s1) or not (rank_inside(f1, x, f0, m) and rank_inside(s1, x, s0, m)):
             continue
-        top = None  # (a, b, gap) of the longest side around x inside both duals
-        for k, (i, j) in enumerate(t.segs):
-            if i < x < j:
-                a, b, g = i, j, t.parent[k] + 1
-            elif x != i and x != j:
-                a, b, g = j, i, k + 1
-            else:
-                continue
-            if rank_within(a, b, f1, f0, m) and rank_within(a, b, s1, s0, m):
-                if top is None or (b - a) % m > (top[1] - top[0]) % m:
-                    top = (a, b, g)
+        top = next((s for s in reversed(t.chain(x, f1, f0)) if rank_within(*s[:2], s1, s0, m)), None)
         if top is None:
             continue
         gap, members = all_gaps[top[2]], t.members(top[2])
