@@ -13,9 +13,13 @@ the exit code of ``laminar check`` and its report with the timings removed.  It
 also records the sha256 of ``laminar dynamics`` output: cusps at radius 8 and
 wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and triples at horizon
 200 with seeds 0-3 on two hyperbolic matrices, a rotation and an exponent
-translation.  The laminar under ``ROOT/src`` is imported (default: the
-checkout holding this script).  ``--diff`` prints every key whose value differs
-and exits 1 if any does.
+translation.  For every system of each elementary kind and for farey, at depth
+3, it records the sha256 of the answers to a fixed seeded sample of queries:
+``separate_distinct_pair`` on 50 chord pairs (witness, chain maximum and both
+containers), ``c_p_I`` on 30 chains and ``rainbow_probe`` on 30 points.  The
+laminar under ``ROOT/src`` is imported (default: the checkout holding this
+script).  ``--diff`` prints every key whose value differs and exits 1 if any
+does.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -33,6 +38,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 KINDS = ["trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral", "farey", "half_farey", "square"]
 BUILD_DEPTHS = range(1, 7)
 CHECK_DEPTHS = (2, 4)
+QUERY_DEPTH = 3
+QUERY_KINDS = KINDS[:5]  # elementary; farey is queried as its own system
 
 _ONE, _ZERO = "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"
 _S = {"matrix": [_ZERO, "-1/1,0/1,0/1,0/1", _ONE, _ZERO]}
@@ -78,6 +85,34 @@ def _dynamics(main, tmp: str, group: str, test: list) -> str:
     return _sha(out)
 
 
+def _away_side(c1, c2):
+    """The side of chord c1 that holds neither endpoint of c2."""
+    return next(s for s in c1.sides() if not s.contains(c2.lo) and not s.contains(c2.hi))
+
+
+def _queries(system) -> dict:
+    """Seeded separation, chain and probe answers on one system."""
+    from laminar import c_p_I, rainbow_probe, separate_distinct_pair
+
+    rng = random.Random(0)
+    chords = sorted(system.chords(QUERY_DEPTH), key=lambda c: c.encode())
+    points = sorted({p for c in system.chords(QUERY_DEPTH + 1) for p in (c.lo, c.hi)}, key=lambda p: p.encode())
+    pairs = []
+    for _ in range(50):
+        c1, c2 = rng.sample(chords, 2)
+        sep = separate_distinct_pair(chords, _away_side(c1, c2), _away_side(c2, c1))
+        if sep is not None:
+            sep = [iv.encode() for iv in (sep.witness, sep.chain_max, sep.container_of_first, sep.container_of_second)]
+        pairs.append(sep)
+    chains = []
+    for _ in range(30):
+        p, c = rng.choice(points), rng.choice(chords)
+        outer = c.side_containing(p) if p not in (c.lo, c.hi) else rng.choice(c.sides())
+        chains.append([iv.encode() for iv in c_p_I(chords, p, outer)])
+    probes = [repr(rainbow_probe(system, rng.choice(points), QUERY_DEPTH)) for _ in range(30)]
+    return {"separate": pairs, "chain": chains, "probe": probes}
+
+
 def collect(root: str) -> dict:
     sys.path.insert(0, os.path.join(root, "src"))
     from laminar.cli import main
@@ -101,6 +136,16 @@ def collect(root: str) -> dict:
                         code = main(["check", doc, "--out", report])
                     with open(report, encoding="utf-8") as f:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
+        from laminar import elementary_col3, farey_system
+
+        systems = [("farey", farey_system())]
+        for kind in QUERY_KINDS:
+            col = elementary_col3(kind, n=5 if kind == "finite_cyclic" else None)
+            systems += [(kind, system) for system in col.systems]
+        for kind, system in systems:
+            for query, answers in _queries(system).items():
+                digest = hashlib.sha256(json.dumps(answers).encode("utf-8")).hexdigest()
+                out[f"{query}:{kind}:{system.name}:{QUERY_DEPTH}"] = digest
         for group in CUSP_GROUPS:
             out[f"cusps:{group}:8"] = _dynamics(main, tmp, group, ["--test", "cusps", "--radius", "8"])
             out[f"wings:{group}"] = _dynamics(main, tmp, group, ["--test", "wings"])

@@ -359,8 +359,8 @@ class Truncation:
         return self._by_encoding
 
     def around(self, a: int, b: int) -> int:
-        """The innermost chord (i, j) with i < a and b < j, or -1: one bisect for
-        the last chord starting before a, then up its ancestors to j > b."""
+        """The innermost chord (i, j) with i < a and b < j, or -1, in a valid
+        forest: one bisect for the last chord starting before a, then up to j > b."""
         k = bisect_left(self.segs, (a,)) - 1
         while k >= 0 and self.segs[k][1] <= b:
             k = self.parent[k]

@@ -5,7 +5,7 @@ import pytest
 from laminar import elementary_col3, farey_system, half_farey_system, square_system
 from laminar.circle import BoundaryPoint
 from laminar.field import FieldElem
-from laminar.lamination import interval_subset
+from laminar.lamination import interval_subset, rank_inside, rank_within
 
 
 def fr(n, d=1):
@@ -32,6 +32,33 @@ def gap_refines(fine, coarse) -> bool:
     """Whether the fine gap's region sits inside the coarse gap's region: the
     oracle that ``checks.refined_gap`` is tested against."""
     return all(any(interval_subset(u, w) for w in fine.intervals) for u in coarse.intervals)
+
+
+def chain_scan(t, x, c, d) -> list:
+    """The sides (a, b) of truncation t that hold rank x and lie within the
+    rank arc (c, d), ascending by inclusion, by a scan of all 2n sides: the
+    oracle that ``Truncation.chain`` is tested against."""
+    m = t.modulus
+    found = [(a, b) for a, b in t.sides() if rank_inside(a, x, b, m) and rank_within(a, b, c, d, m)]
+    return sorted(found, key=lambda s: (s[1] - s[0]) % m)
+
+
+def separation_top_scan(t, x, f1, f0, s1, s0):
+    """(a, b, gap) of the longest side around rank x inside both rank arcs
+    (f1, f0) and (s1, s0), or None, by a scan of every chord: the oracle for
+    the witness step of ``separate_distinct_pair``."""
+    m, top = t.modulus, None
+    for k, (i, j) in enumerate(t.segs):
+        if i < x < j:
+            a, b, g = i, j, t.parent[k] + 1
+        elif x != i and x != j:
+            a, b, g = j, i, k + 1
+        else:
+            continue
+        if rank_within(a, b, f1, f0, m) and rank_within(a, b, s1, s0, m):
+            if top is None or (b - a) % m > (top[1] - top[0]) % m:
+                top = (a, b, g)
+    return top
 
 
 def farey_mediants(depth: int) -> list:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from laminar import elementary_col3
 from laminar.checks import refined_gap
 from laminar.circle import BoundaryPoint
 from laminar.constructions import farey_tessellation, half_farey_system
@@ -31,7 +32,7 @@ from laminar.lamination import (
     validate_truncation,
 )
 
-from conftest import INF, chord_er, fr, gap_refines
+from conftest import INF, chain_scan, chord_er, fr, gap_refines, separation_top_scan
 
 
 # -- independent rational-angle model (the brute-force oracle) -------------------
@@ -279,12 +280,51 @@ def test_c_p_I_farey_chain():
 
 def test_c_p_I_random_against_oracle():
     rng = random.Random(3)
+    wrapped = 0
     for _ in range(60):
         chords = _random_truncation(rng)
         pts = sorted(endpoints_set(chords), key=lambda q: q.encode())
-        outer = rng.choice([s for c in chords for s in c.sides()])
-        probe = _ang(rng.randrange(719) + 1, 719)  # never an endpoint (prime grid)
-        assert c_p_I(chords, probe, outer) == _oracle_chain(chords, probe, outer)
+        # a chord side, and an arc between endpoints that may pass the basepoint
+        outers = [rng.choice([s for c in chords for s in c.sides()]), Interval(*rng.sample(pts, 2))]
+        wrapped += sum(o.end.linear_key() < o.start.linear_key() for o in outers)
+        # off every endpoint (prime grid), then on one
+        for probe in (_ang(rng.randrange(719) + 1, 719), rng.choice(pts)):
+            for outer in outers:
+                assert c_p_I(chords, probe, outer) == _oracle_chain(chords, probe, outer)
+    assert wrapped > 30
+
+
+def _query_truncations(rng):
+    """Random truncations, then every elementary system at depths 1-3."""
+    yield from (Truncation(_random_truncation(rng)) for _ in range(40))
+    for kind in ("trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral"):
+        for system in elementary_col3(kind, n=5 if kind == "finite_cyclic" else None).systems:
+            yield from (system.truncation(depth) for depth in (1, 2, 3))
+
+
+def test_chain_walk_matches_side_scan():
+    rng = random.Random(15)
+    wrapped = 0
+    for t in _query_truncations(rng):
+        m, sides = t.modulus, t.sides()
+        for x in range(m):  # odd ranks lie off the truncation, even ranks are endpoints
+            for c, d in (rng.choice(sides), rng.sample(range(m), 2)):
+                wrapped += c > d
+                assert [s[:2] for s in t.chain(x, c, d)] == chain_scan(t, x, c, d)
+    assert wrapped > 3000
+
+
+def test_separation_witness_step_matches_segment_scan():
+    rng = random.Random(16)
+    for t in _query_truncations(rng):
+        m = t.modulus
+        for _ in range(6):
+            (f0, f1), (s0, s1) = rng.sample(t.segs, 2)
+            if rng.random() < 0.5:
+                f0, f1 = f1, f0
+            for x in range(0, m, 2):
+                walk = next((s for s in reversed(t.chain(x, f1, f0)) if rank_within(*s[:2], s1, s0, m)), None)
+                assert walk == separation_top_scan(t, x, f1, f0, s1, s0)
 
 
 # -- rainbows ----------------------------------------------------------------------
@@ -507,6 +547,22 @@ def test_validate_lists_linked_pairs_in_caller_order():
             with pytest.raises(InvalidLamination, match="linked-pair"):
                 gaps(chords)
     assert crossing > 40
+
+
+def test_c_p_I_rejects_crossing_sets():
+    rng = random.Random(8)
+    grid = [_ang(k, 24) for k in range(24)]
+    crossing = 0
+    for _ in range(300):
+        chords = [Chord(*rng.sample(grid, 2)) for _ in range(rng.randint(2, 12))]
+        if validate_truncation(chords).ok:
+            continue
+        crossing += 1
+        outer = rng.choice(rng.choice(chords).sides())
+        with pytest.raises(InvalidLamination, match="linked-pair"):
+            c_p_I(chords, rng.choice(grid), outer)
+    assert crossing > 200
+    assert c_p_I([], grid[0], Interval(grid[1], grid[2])) == []  # no chords, no chain
 
 
 def test_memo_answers_equal_for_permuted_chord_lists():
