@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from laminar import elementary_col3
 from laminar.checks import refined_gap
 from laminar.circle import BoundaryPoint
 from laminar.constructions import farey_tessellation, half_farey_system
@@ -294,18 +293,18 @@ def test_c_p_I_random_against_oracle():
     assert wrapped > 30
 
 
-def _query_truncations(rng):
+def _query_truncations(rng, collections):
     """Random truncations, then every elementary system at depths 1-3."""
     yield from (Truncation(_random_truncation(rng)) for _ in range(40))
-    for kind in ("trivial", "finite_cyclic", "parabolic", "hyperbolic", "dihedral"):
-        for system in elementary_col3(kind, n=5 if kind == "finite_cyclic" else None).systems:
+    for col in collections.values():
+        for system in col.systems:
             yield from (system.truncation(depth) for depth in (1, 2, 3))
 
 
-def test_chain_walk_matches_side_scan():
+def test_chain_walk_matches_side_scan(collections):
     rng = random.Random(15)
     wrapped = 0
-    for t in _query_truncations(rng):
+    for t in _query_truncations(rng, collections):
         m, sides = t.modulus, t.sides()
         for x in range(m):  # odd ranks lie off the truncation, even ranks are endpoints
             for c, d in (rng.choice(sides), rng.sample(range(m), 2)):
@@ -314,9 +313,9 @@ def test_chain_walk_matches_side_scan():
     assert wrapped > 3000
 
 
-def test_separation_witness_step_matches_segment_scan():
+def test_separation_witness_step_matches_segment_scan(collections):
     rng = random.Random(16)
-    for t in _query_truncations(rng):
+    for t in _query_truncations(rng, collections):
         m = t.modulus
         for _ in range(6):
             (f0, f1), (s0, s1) = rng.sample(t.segs, 2)
