@@ -16,10 +16,12 @@ wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and triples at horizon
 translation.  For every system of each elementary kind and for farey, at depth
 3, it records the sha256 of the answers to a fixed seeded sample of queries:
 ``separate_distinct_pair`` on 50 chord pairs (witness, chain maximum and both
-containers), ``c_p_I`` on 30 chains and ``rainbow_probe`` on 30 points.  The
-laminar under ``ROOT/src`` is imported (default: the checkout holding this
-script).  ``--diff`` prints every key whose value differs and exits 1 if any
-does.
+containers), ``c_p_I`` on 30 chains and ``rainbow_probe`` on 30 points.  Build
+JSON is sorted, so it cannot show chord order: for each of those systems and
+for half_farey and square it records the sha256 of the encoded
+``system.chords(d)`` tuples for d = 1-6, in order.  The laminar under
+``ROOT/src`` is imported (default: the checkout holding this script).
+``--diff`` prints every key whose value differs and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -136,12 +138,15 @@ def collect(root: str) -> dict:
                         code = main(["check", doc, "--out", report])
                     with open(report, encoding="utf-8") as f:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
-        from laminar import elementary_col3, farey_system
+        from laminar import elementary_col3, farey_system, half_farey_system, square_system
 
         systems = [("farey", farey_system())]
         for kind in QUERY_KINDS:
             col = elementary_col3(kind, n=5 if kind == "finite_cyclic" else None)
             systems += [(kind, system) for system in col.systems]
+        for kind, system in [*systems, ("half_farey", half_farey_system()), ("square", square_system())]:
+            order = [[c.encode() for c in system.chords(d)] for d in BUILD_DEPTHS]
+            out[f"order:{kind}:{system.name}"] = hashlib.sha256(json.dumps(order).encode("utf-8")).hexdigest()
         for kind, system in systems:
             for query, answers in _queries(system).items():
                 digest = hashlib.sha256(json.dumps(answers).encode("utf-8")).hexdigest()

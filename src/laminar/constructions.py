@@ -11,7 +11,8 @@ fill and adds only the rounds a deeper call needs.  Every orbit builder is
 each boundary point once per group element (``ChordImages``), whatever the
 order in which depths are asked for.  ``orbit_closure`` returns the union of
 the orbit images only; callers that want it validated call
-``validate_truncation`` themselves.
+``validate_truncation`` themselves.  Every builder returns a list with no
+repeats, and ``LaminationSystem`` trusts that.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ class DenseSpec:
 
 class _Fill:
     """The half-Farey fill of one seed arc, as far as it has been computed:
-    its chords in insertion order, the arcs the next round divides, and
-    ends[d], the number of chords after d rounds."""
+    its chords in insertion order, the seed chord first and no repeats (so a
+    builder that has the seed chord already drops it with ``[1:]``), the arcs
+    the next round divides, and ends[d], the number of chords after d rounds."""
 
     __slots__ = ("chords", "arcs", "ends")
 
@@ -202,9 +204,9 @@ def square_triangulation(spec: DenseSpec, i_arc, j_arc, depth: int) -> list:
         Chord(j2, i1),
         Chord(least, opposite),
     ]
-    chords += half_farey(spec, i1, i2, depth)
-    chords += half_farey(spec, j1, j2, depth)
-    return list(dict.fromkeys(chords))
+    chords += half_farey(spec, i1, i2, depth)[1:]  # its seed chord is the side {i1, i2}
+    chords += half_farey(spec, j1, j2, depth)[1:]
+    return chords
 
 
 class ChordImages:
@@ -262,8 +264,7 @@ def _farey_builder():
     spec = DenseSpec.ext_rationals(0, seeds=(zero, inf))
 
     def build(depth):
-        pos = half_farey(spec, zero, inf, depth)
-        return list(dict.fromkeys(pos + half_farey(spec, inf, zero, max(depth - 1, 0))))
+        return half_farey(spec, zero, inf, depth) + half_farey(spec, inf, zero, max(depth - 1, 0))[1:]
 
     return build
 
@@ -291,7 +292,7 @@ def _trivial_system(name, shift) -> LaminationSystem:
     spec = DenseSpec.disk_angles(shift, seeds=(p1, p2))
 
     def build(depth):
-        return half_farey(spec, p1, p2, depth) + half_farey(spec, p2, p1, depth)
+        return half_farey(spec, p1, p2, depth) + half_farey(spec, p2, p1, depth)[1:]
 
     return LaminationSystem(name, Chart.DISK_ANGLE, build)
 

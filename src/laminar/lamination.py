@@ -11,15 +11,14 @@ queries that ask many of them about one chord set (validation, gaps, chains,
 rainbows, separation) go through a ``Truncation``: the chord set with its
 endpoints sorted once by exact key, so that every later comparison is one on
 integer ranks.  Functions taking a chord list find their ``Truncation`` in a
-small memo keyed by the chord set; ``LaminationSystem.truncation`` keeps one per
-depth.
+memo of the last four sets, matched by tuple and only then by set
+(``truncation_of``); ``LaminationSystem.truncation`` keeps one per depth.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .circle import BoundaryPoint, Chart, circular_order, require_same_chart
 from .errors import ChartMismatch, InvalidLamination, NotADistinctPair
@@ -190,15 +189,16 @@ def validate_truncation(chords) -> ValidationReport:
     Dual closure holds structurally for chord sets, so the checked content is
     nonemptiness plus pairwise unlinkedness.  The ranked truncation certifies
     valid inputs; when a crossing exists, every violating pair is listed in
-    the caller's chord order, decided on ranks.
+    the caller's chord order, repeats dropped, decided on ranks.
     """
-    chords = list(dict.fromkeys(chords))
+    chords = list(chords)
     report = ValidationReport()
     if not chords:
         report.violations.append(("empty-family", None))
         return report
     t = truncation_of(chords)
     if not t.ok:
+        chords = list(dict.fromkeys(chords))
         segs = [(t.rank[ch.lo], t.rank[ch.hi]) for ch in chords]
         for a, (i, j) in enumerate(segs):
             for b in range(a + 1, len(segs)):
@@ -404,33 +404,30 @@ class Truncation:
         return best
 
 
-class _ChordSet(frozenset):
-    """The memo's key: a chord set that keeps the caller's order in ``chords``.
-
-    The Truncation is built in that order, since it is often close to sorted
-    and the exact sort then needs fewer comparisons.
-    """
-
-    def __new__(cls, chords):
-        chords = tuple(chords)
-        self = super().__new__(cls, chords)
-        self.chords = chords
-        return self
-
-
-@lru_cache(maxsize=4)
-def _memo(chordset: _ChordSet) -> Truncation:
-    return Truncation(chordset.chords)
+_MEMO = []  # (a caller's chord tuple, its Truncation), newest first, at most four
 
 
 def truncation_of(chords) -> Truncation:
-    """The Truncation of a chord collection, from a memo of the last few sets."""
-    return _memo(_ChordSet(chords))
+    """The Truncation of a chord collection, from a memo of the last four sets.
+
+    An equal remembered tuple hits first (chords compare by identity, so none
+    is hashed), then an equal set.  A miss builds in the caller's order, often
+    close to sorted.  Racing threads may build one twice, but every entry pairs
+    a tuple with the Truncation of its own set."""
+    key, memo = tuple(chords), _MEMO[:]
+    t = next((t for k, t in memo if k == key), None)
+    if t is None:
+        chordset = set(key)
+        t = next((t for _, t in memo if t.node_of.keys() == chordset), None)
+    if t is None:
+        t = Truncation(key)
+    _MEMO[:] = [(key, t), *[e for e in memo if e[1] is not t][:3]]
+    return t
 
 
 def gaps(chords) -> list[Gap]:
     """All complementary regions of a valid truncation, root region first."""
-    chords = list(dict.fromkeys(chords))
+    chords = list(chords)
     return list(truncation_of(chords).valid(chords).gaps())
 
 
@@ -464,18 +461,18 @@ def c_p_I(chords, p: BoundaryPoint, outer: Interval) -> list[Interval]:
 
     Returned ascending by inclusion, so the last element is the maximum.  A
     crossing chord set raises InvalidLamination.  The chain is one walk in the
-    nesting forest (``Truncation.chain``) unless ``Truncation.ranks`` defers to
-    the exact predicates; nested intervals have strictly growing rank length.
+    nesting forest (``Truncation.chain``, already in that order) unless
+    ``Truncation.ranks`` defers to the exact predicates, whose scan is sorted
+    by rank length: nested intervals have strictly growing rank length.
     """
     chords = list(chords)
     t = truncation_of(chords)
     if t.chords:
         t.valid(chords)
     m, ranks = t.modulus, t.ranks(p, outer.start, outer.end)
-    if ranks is None:
-        found = [s for s in t.sides() if t.interval(*s).contains(p) and interval_subset(t.interval(*s), outer)]
-    else:
-        found = [(a, b) for a, b, _ in t.chain(*ranks)]
+    if ranks is not None:
+        return [t.interval(a, b) for a, b, _ in t.chain(*ranks)]
+    found = [s for s in t.sides() if t.interval(*s).contains(p) and interval_subset(t.interval(*s), outer)]
     found.sort(key=lambda s: (s[1] - s[0]) % m)
     if not all(rank_within(*u, *v, m) for u, v in zip(found, found[1:])):
         raise InvalidLamination("C_p^I is not totally ordered: invalid truncation")
@@ -589,9 +586,10 @@ class LaminationSystem:
         self._truncations = {}
 
     def chords(self, depth: int) -> tuple:
+        """The builder's chords at ``depth``, as built: a builder owns
+        duplicate-freedom and must return a list with no repeats."""
         if depth not in self._cache:
-            built = tuple(dict.fromkeys(self._builder(depth)))
-            self._cache[depth] = built
+            self._cache[depth] = tuple(self._builder(depth))
         return self._cache[depth]
 
     def truncation(self, depth: int) -> Truncation:

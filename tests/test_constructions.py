@@ -182,6 +182,19 @@ def test_chord_images_keep_one_memo_for_equal_maps():
     assert all(a is b for a, b in zip(images(g, chords), images(h, chords)))
 
 
+def test_builders_return_no_repeats(collections, standalone_systems):
+    systems = [(kind, s) for kind, col in collections.items() for s in col.systems]
+    systems += standalone_systems.items()
+    i1, i2, j1, j2 = S_EXP(-1, 1), S_EXP(-1, 0), S_EXP(1, 0), S_EXP(1, 1)
+    spec = DenseSpec.exp_rationals(0, seeds=(j1, j2, i1, i2))
+    for d in range(7):
+        for kind, s in systems:
+            built = s._builder(d)  # raw: LaminationSystem.chords trusts it
+            assert len(set(built)) == len(built), (kind, s.name, d)
+        for built in (farey_tessellation(d), square_triangulation(spec, (i1, i2), (j1, j2), d)):
+            assert len(set(built)) == len(built), d
+
+
 def _systems(kind):
     if kind in ELEMENTARY_KINDS:
         return elementary_col3(kind, n=5 if kind == "finite_cyclic" else None).systems

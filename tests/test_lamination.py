@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -533,10 +535,14 @@ def _old_violations(chords):
 def test_validate_lists_linked_pairs_in_caller_order():
     rng = random.Random(8)
     grid = [_ang(k, 24) for k in range(24)]
-    crossing = 0
+    inputs = []
     for _ in range(80):
         chords = [Chord(*rng.sample(grid, 2)) for _ in range(rng.randint(2, 12))]
-        chords += rng.sample(chords, 2)  # duplicates are ignored
+        inputs.append(chords + rng.sample(chords, 2))  # duplicates are ignored
+    # one crossing pair, each chord of it repeated: listed once
+    inputs.append([chord_er(0, 2), chord_er(1, 3), chord_er(0, 2), chord_er(5, 6), chord_er(1, 3)])
+    crossing = 0
+    for chords in inputs:
         rep = validate_truncation(chords)
         want = _old_violations(chords)
         assert [data for _, data in rep.violations] == want
@@ -581,6 +587,47 @@ def test_memo_answers_equal_for_permuted_chord_lists():
         second = next(s for s in c2.sides() if not s.contains(c1.lo) and not s.contains(c1.hi))
         if second != first.dual:
             assert separate_distinct_pair(perm, first, second) == separate_distinct_pair(chords, first, second)
+
+
+def test_memo_tells_equal_length_sets_apart():
+    a = [chord_er(0, 1), chord_er(2, 3)]
+    b = [chord_er(0, 1), chord_er(2, 4)]
+    ta, tb = truncation_of(a), truncation_of(b)
+    assert ta is not tb
+    assert ta.node_of.keys() == set(a) and tb.node_of.keys() == set(b)
+    assert truncation_of(list(a)) is ta and truncation_of(b[::-1]) is tb
+
+
+def test_memo_returns_the_callers_set_across_threads():
+    rng = random.Random(30)
+    sets = []
+    while len(sets) < 6:  # more sets than the memo holds
+        chords = _random_truncation(rng)
+        if all(set(chords) != set(s) for s in sets):
+            sets.append(chords)
+    barrier, wrong = threading.Barrier(8), []
+
+    def query(seed):
+        r = random.Random(seed)
+        barrier.wait()
+        for _ in range(300):
+            chords = r.choice(sets)
+            if r.random() < 0.5:
+                chords = r.sample(chords, len(chords))
+            if truncation_of(chords).node_of.keys() != set(chords):
+                wrong.append(chords)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the memo too
+    try:
+        threads = [threading.Thread(target=query, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
 
 
 def _oracle_nesting(chords, p):
