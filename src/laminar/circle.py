@@ -200,72 +200,34 @@ def circular_order(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> int:
     return -1
 
 
-_DISK_TO_EXT = {}
-_EXT_TO_DISK = {}
-
-
-def _register_four_points():
+def _shared_points():
+    """Only the four points 1, i, -1, -i of the unit circle have an exact image
+    in every chart (elsewhere e^t or the Cayley map leaves the field).  One
+    row per point in the charts disk_angle, ext_real and signed_exp; each of
+    the 12 points maps to its row as {chart: point}."""
     q = FieldElem((1, 4))
-    pairs = [
-        (BoundaryPoint.disk_angle(0), BoundaryPoint.ext_inf()),
-        (BoundaryPoint.disk_angle(q), BoundaryPoint.ext_real(-1)),
-        (BoundaryPoint.disk_angle(q * 2), BoundaryPoint.ext_real(0)),
-        (BoundaryPoint.disk_angle(q * 3), BoundaryPoint.ext_real(1)),
-    ]
-    for disk, ext in pairs:
-        _DISK_TO_EXT[disk] = ext
-        _EXT_TO_DISK[ext] = disk
+    rows = (
+        (BoundaryPoint.disk_angle(0), BoundaryPoint.ext_inf(), BoundaryPoint.exp_inf()),
+        (BoundaryPoint.disk_angle(q), BoundaryPoint.ext_real(-1), BoundaryPoint.signed_exp(-1, 0)),
+        (BoundaryPoint.disk_angle(q * 2), BoundaryPoint.ext_real(0), BoundaryPoint.exp_zero()),
+        (BoundaryPoint.disk_angle(q * 3), BoundaryPoint.ext_real(1), BoundaryPoint.signed_exp(1, 0)),
+    )
+    return {p: {s.chart: s for s in row} for row in rows for p in row}
 
 
-_register_four_points()
-
-
-def _signed_to_ext(p: BoundaryPoint) -> BoundaryPoint:
-    if p.kind == _EXP_ZERO:
-        return BoundaryPoint.ext_real(0)
-    if p.kind == _EXP_INF:
-        return BoundaryPoint.ext_inf()
-    if p.x.is_zero():
-        return BoundaryPoint.ext_real(p.ray)
-    raise InexactConversion(f"{p!r}: e^t is not in Q(sqrt2, sqrt3) for t != 0")
-
-
-def _ext_to_signed(p: BoundaryPoint) -> BoundaryPoint:
-    if p.kind == _EXT_INF:
-        return BoundaryPoint.exp_inf()
-    if p.x.is_zero():
-        return BoundaryPoint.exp_zero()
-    if p.x == 1:
-        return BoundaryPoint.signed_exp(1, 0)
-    if p.x == -1:
-        return BoundaryPoint.signed_exp(-1, 0)
-    raise InexactConversion(f"{p!r}: log of {p.x!r} is not in Q(sqrt2, sqrt3)")
+_SHARED = _shared_points()
 
 
 def chart_convert(p: BoundaryPoint, target: Chart) -> BoundaryPoint:
-    """Exact, order-preserving chart conversion for the registered pairs."""
+    """Exact, order-preserving chart conversion: ``p`` in its own chart, one
+    of the four shared points in any chart, and nothing else."""
     target = Chart(target)
     if p.chart == target:
         return p
-    if p.chart == Chart.DISK_ANGLE and target == Chart.EXT_REAL:
-        try:
-            return _DISK_TO_EXT[p]
-        except KeyError:
-            raise InexactConversion(f"{p!r}: only the four points ±1, ±i convert exactly")
-    if p.chart == Chart.EXT_REAL and target == Chart.DISK_ANGLE:
-        try:
-            return _EXT_TO_DISK[p]
-        except KeyError:
-            raise InexactConversion(f"{p!r}: only the four points inf, ±1, 0 convert exactly")
-    if p.chart == Chart.SIGNED_EXP and target == Chart.EXT_REAL:
-        return _signed_to_ext(p)
-    if p.chart == Chart.EXT_REAL and target == Chart.SIGNED_EXP:
-        return _ext_to_signed(p)
-    if p.chart == Chart.SIGNED_EXP and target == Chart.DISK_ANGLE:
-        return chart_convert(_signed_to_ext(p), Chart.DISK_ANGLE)
-    if p.chart == Chart.DISK_ANGLE and target == Chart.SIGNED_EXP:
-        return _ext_to_signed(chart_convert(p, Chart.EXT_REAL))
-    raise IncomparableCharts(f"no conversion {p.chart.value} -> {target.value}")
+    row = _SHARED.get(p)
+    if row is None:
+        raise InexactConversion(f"{p!r} -> {target.value}: only the four points ±1, ±i convert exactly")
+    return row[target]
 
 
 def require_same_chart(*points: BoundaryPoint) -> Chart:

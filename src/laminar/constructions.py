@@ -54,7 +54,9 @@ class DenseSpec:
     ``ext_rationals``: points shift + q on the extended real line (inf included
     when seeded).  ``disk_angles``: angles shift + q mod 1.  ``exp_rationals``:
     exponents plus_shift + q on the positive ray and minus_shift + q on the
-    negative ray.
+    negative ray.  Every chart reads a point through ``_offset``, its
+    coordinate less the shift of its ray, and the set is the points whose
+    offset is rational.
 
     The spec also keeps the half-Farey fill of each seed pair it has filled,
     so that ``half_farey`` extends a fill instead of recomputing it.
@@ -86,50 +88,40 @@ class DenseSpec:
         except ValueError:
             return len(self.seeds)
 
+    def _offset(self, pt: BoundaryPoint):
+        """The coordinate of ``pt`` less the shift of its ray, mod 1 on the
+        angle chart; None for a limit symbol (inf, e:0, e:inf)."""
+        if pt.x is None:
+            return None
+        diff = pt.x - (self.minus_shift if pt.ray < 0 else self.shift)
+        return diff - diff.floor() if self.chart is Chart.DISK_ANGLE else diff
+
     def contains(self, pt: BoundaryPoint) -> bool:
         if pt.chart != self.chart:
             return False
-        if self.chart is Chart.EXT_REAL:
-            if pt.is_infinity:
-                return any(s.is_infinity for s in self.seeds)
-            return (pt.x - self.shift).is_rational()
-        if self.chart is Chart.DISK_ANGLE:
-            diff = pt.x - self.shift
-            return (diff - diff.floor()).is_rational()
-        if pt.x is None:
-            return False
-        shift = self.shift if pt.ray > 0 else self.minus_shift
-        return (pt.x - shift).is_rational()
+        if pt.is_infinity:
+            return pt in self.seeds
+        offset = self._offset(pt)
+        return offset is not None and offset.is_rational()
 
     def first_interior(self, start: BoundaryPoint, end: BoundaryPoint) -> BoundaryPoint:
-        """The enumeration-first point strictly inside the ccw arc (start, end)."""
-        if self.chart is Chart.EXT_REAL:
-            if start.is_infinity:
-                w = (end.x - self.shift).rational()
-                return BoundaryPoint.ext_real(self.shift - simplest_between(-w, None))
-            lo = (start.x - self.shift).rational()
-            if end.is_infinity:
-                return BoundaryPoint.ext_real(self.shift + simplest_between(lo, None))
-            hi = (end.x - self.shift).rational()
-            return BoundaryPoint.ext_real(self.shift + simplest_between(lo, hi))
-        if self.chart is Chart.DISK_ANGLE:
-            a = (start.x - self.shift)
-            b = (end.x - self.shift)
-            a = (a - a.floor()).rational()
-            b = (b - b.floor()).rational()
-            if not b > a:
-                b = b + 1
-            return BoundaryPoint.disk_angle(self.shift + simplest_between(a, b))
-        if start.x is None or end.x is None or start.ray != end.ray:
+        """The enumeration-first point strictly inside the ccw arc (start, end):
+        the simplest rational between the offsets of its ends, shifted back."""
+        a, b = self._offset(start), self._offset(end)
+        if self.chart is Chart.SIGNED_EXP and (a is None or b is None or start.ray != end.ray):
             raise ValueError("exp enumeration fills arcs within a single ray")
-        shift = self.shift if start.ray > 0 else self.minus_shift
-        a = (start.x - shift).rational()
-        b = (end.x - shift).rational()
-        if start.ray > 0:
-            t = shift + simplest_between(a, b)
-        else:
-            t = shift + simplest_between(b, a)  # ccw on the minus ray descends
-        return BoundaryPoint.signed_exp(start.ray, t)
+        if a is None:  # from inf on the real line: (-inf, b)
+            return BoundaryPoint.ext_real(self.shift - simplest_between(-b.rational(), None))
+        a = a.rational()
+        if b is None:  # to inf on the real line
+            return BoundaryPoint.ext_real(self.shift + simplest_between(a, None))
+        b = b.rational()
+        if self.chart is Chart.DISK_ANGLE:
+            return BoundaryPoint.disk_angle(self.shift + simplest_between(a, b if b > a else b + 1))
+        if start.ray < 0:  # ccw on the minus ray descends
+            return BoundaryPoint.signed_exp(-1, self.minus_shift + simplest_between(b, a))
+        t = self.shift + simplest_between(a, b)
+        return BoundaryPoint.ext_real(t) if self.chart is Chart.EXT_REAL else BoundaryPoint.signed_exp(1, t)
 
 
 class _Fill:

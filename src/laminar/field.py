@@ -16,7 +16,6 @@ exact ``fractions.Fraction``s (``_Q``).
 from __future__ import annotations
 
 import math
-import sys
 
 from fractions import Fraction as _Q
 
@@ -33,7 +32,6 @@ _S2_HI, _S3_HI, _S6_HI = _S2_LO + 10, _S3_LO + 10, _S6_LO + 10
 
 _gcd = math.gcd
 _new = object.__new__
-_HASH_P = sys.hash_info.modulus
 
 
 def _rat(x) -> _Q:
@@ -105,7 +103,7 @@ def _make(a, b, c, d, den) -> "FieldElem":
 def _raw(a, b, c, d, den) -> "FieldElem":
     """Wrap numerators already in canonical form (den > 0, gcd 1)."""
     x = _new(FieldElem)
-    x._a, x._b, x._c, x._d, x._den, x._h = a, b, c, d, den, None
+    x._a, x._b, x._c, x._d, x._den = a, b, c, d, den
     return x
 
 
@@ -144,7 +142,7 @@ def _inverse_parts(a, b, c, d):
 class FieldElem:
     """Immutable element a + b*sqrt2 + c*sqrt3 + d*sqrt6 of Q(sqrt2, sqrt3)."""
 
-    __slots__ = ("_a", "_b", "_c", "_d", "_den", "_h")
+    __slots__ = ("_a", "_b", "_c", "_d", "_den")
 
     def __init__(self, a=0, b=0, c=0, d=0):
         coefs = [_rat(q) for q in (a, b, c, d)]
@@ -153,7 +151,6 @@ class FieldElem:
         # per-coefficient lowest terms over their lcm is already canonical
         self._a, self._b, self._c, self._d = nums
         self._den = den
-        self._h = None
 
     # -- exact rational coefficients --------------------------------------
 
@@ -298,26 +295,10 @@ class FieldElem:
         )
 
     def __hash__(self):
-        h = self._h
-        if h is None:
-            # equal to hash((a, b, c, d)) over _Q; integer coefficients hash as ints
-            den = self._den
-            nums = (self._a, self._b, self._c, self._d)
-            if den == 1:
-                h = hash(nums)
-            else:
-                # Python hashes n/den as sign(n) * (|n| * den^-1 mod P) and an
-                # int m as sign(m) * (|m| mod P), each with -1 mapped to -2,
-                # so hash(n * den^-1) equals hash(n/den)
-                try:
-                    inv = pow(den, -1, _HASH_P)
-                except ValueError:  # den is a multiple of P
-                    h = hash(tuple(_Q(n, den) if n else 0 for n in nums))
-                else:
-                    a, b, c, d = nums
-                    h = hash((a * inv, b * inv, c * inv, d * inv))
-            self._h = h
-        return h
+        # a rational element hashes like the int or Fraction it equals
+        if not (self._b or self._c or self._d):
+            return hash(_Q(self._a, self._den))
+        return hash((self._a, self._b, self._c, self._d, self._den))
 
     def __lt__(self, other) -> bool:
         return self._cmp(other) < 0

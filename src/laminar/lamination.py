@@ -27,7 +27,7 @@ from .errors import ChartMismatch, InvalidLamination, NotADistinctPair
 class Interval:
     """Nondegenerate open interval (start, end): the ccw arc from start to end."""
 
-    __slots__ = ("start", "end", "_h")
+    __slots__ = ("start", "end")
 
     def __init__(self, start: BoundaryPoint, end: BoundaryPoint):
         require_same_chart(start, end)
@@ -35,7 +35,6 @@ class Interval:
             raise ValueError("degenerate interval")
         self.start = start
         self.end = end
-        self._h = None
 
     @property
     def dual(self) -> "Interval":
@@ -56,9 +55,7 @@ class Interval:
         return self.start is other.start and self.end is other.end
 
     def __hash__(self):
-        if self._h is None:
-            self._h = hash((self.start, self.end))
-        return self._h
+        return hash((self.start, self.end))
 
     def encode(self) -> str:
         return f"({self.start.encode()},{self.end.encode()})"

@@ -337,10 +337,8 @@ class ExpAffine(_Action):
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
         if x.chart != Chart.SIGNED_EXP:
             raise ChartMismatch("exp action acts on the signed_exp chart")
-        if x.x is None:  # a limit symbol
-            zero = x.kind == 2
-            if self.flip:
-                zero = not zero
+        if x.x is None:  # a limit symbol; the flip swaps e:0 and e:inf
+            zero = (x is BoundaryPoint.exp_zero()) != self.flip
             return BoundaryPoint.exp_zero() if zero else BoundaryPoint.exp_inf()
         if self.flip:
             return BoundaryPoint.signed_exp(-x.ray, self.tau - x.x)

@@ -216,6 +216,36 @@ def test_conversions_and_actions_return_the_one_object():
             assert g.apply(p) is g.compose(g.inverse()).compose(g).apply(p)
 
 
+def test_only_the_four_shared_points_convert_and_they_agree_with_the_float_embedding():
+    # the float embedding is the oracle: a conversion must land on the same
+    # circle point, and it exists exactly for the points at 1, i, -1, -i
+    s = BoundaryPoint.signed_exp
+    points = [INF, BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf()]
+    for d in (1, 2, 3, 4, 8):
+        for k in range(-8, 9):
+            q = FieldElem((k, d))
+            points += [BoundaryPoint.ext_real(q), BoundaryPoint.disk_angle(q), s(1, q), s(-1, q)]
+    for x in (SQRT2, SQRT2 / 3 - 1, FieldElem(0, 0, (1, 2))):
+        points += [BoundaryPoint.ext_real(x), BoundaryPoint.disk_angle(x), s(1, x), s(-1, x)]
+    points = list(dict.fromkeys(points))
+    shared = set()
+    for p in points:
+        z = p.to_complex()
+        at_four = min(abs(z - w) for w in (1, 1j, -1, -1j)) < 1e-12
+        for target in Chart:
+            try:
+                q = chart_convert(p, target)
+            except InexactConversion:
+                assert target != p.chart and not at_four, (p, target)
+                continue
+            assert q.chart == target and abs(q.to_complex() - z) < 1e-12, (p, q)
+            assert chart_convert(q, p.chart) is p
+            if target != p.chart:
+                assert at_four, (p, target)
+                shared.add(p)
+    assert len(shared) == 12 and {p.chart for p in shared} == set(Chart)
+
+
 def test_points_in_different_charts_are_never_equal():
     # the same circle point in each chart: chart_convert relates them, == does not
     for trio in (

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from laminar.circle import BoundaryPoint
+from laminar.circle import BoundaryPoint, Chart
 from laminar.constructions import (
     ELEMENTARY_KINDS,
     ChordImages,
@@ -20,9 +20,10 @@ from laminar.constructions import (
 )
 from laminar.checks import CheckSuiteResult, check_invariance
 from laminar.errors import BadSeed, OverlappingArcs, UnsupportedKind
-from laminar.field import FieldElem, SQRT2
+from laminar.field import FieldElem, SQRT2, SQRT3
 from laminar.lamination import (
     Chord,
+    Interval,
     LaminationSystem,
     endpoints_set,
     gaps,
@@ -68,6 +69,81 @@ def test_simplest_between_deep_near_sqrt2():
         assert simplest_between(lo, hi) == m
         lo, hi = (m, hi) if m * m < 2 else (lo, m)
     assert hi - lo < Fraction(1, 10**20) and lo * lo < 2 < hi * hi
+
+
+def _dense_point(spec, ray, q):
+    """The point of ``spec``'s set at rational offset q on the given ray."""
+    if spec.chart is Chart.EXT_REAL:
+        return BoundaryPoint.ext_real(spec.shift + q)
+    if spec.chart is Chart.DISK_ANGLE:
+        return BoundaryPoint.disk_angle(spec.shift + q)
+    return S_EXP(ray, (spec.minus_shift if ray < 0 else spec.shift) + q)
+
+
+def _first_interior_arcs(spec, rng):
+    """Arcs on which ``first_interior`` is defined: finite arcs of the real
+    line and arcs from and to inf, angle arcs in both directions (so some
+    wrap past 0), and arcs within each ray of the exponent chart."""
+    grid = sorted({Fraction(k, d) for d in (1, 2, 3, 4) for k in range(-3 * d, 3 * d + 1)})
+    arcs = []
+    for _ in range(12):
+        a, b = sorted(rng.sample(grid, 2))
+        if spec.chart is Chart.EXT_REAL:
+            arcs.append((_dense_point(spec, 0, a), _dense_point(spec, 0, b)))
+            arcs.append((INF, _dense_point(spec, 0, a)))
+            arcs.append((_dense_point(spec, 0, b), INF))
+        elif spec.chart is Chart.DISK_ANGLE:
+            u, v = _dense_point(spec, 0, a), _dense_point(spec, 0, b)
+            if u is not v:
+                arcs += [(u, v), (v, u)]
+        else:
+            arcs.append((_dense_point(spec, 1, a), _dense_point(spec, 1, b)))
+            arcs.append((_dense_point(spec, -1, b), _dense_point(spec, -1, a)))  # ccw descends
+    return arcs
+
+
+def test_first_interior_is_the_least_denominator_point_inside_the_arc():
+    rng = random.Random(31)
+    specs = [
+        DenseSpec.ext_rationals(0, seeds=(INF,)),
+        DenseSpec.ext_rationals(SQRT2, seeds=(INF,)),
+        DenseSpec.disk_angles(0),
+        DenseSpec.disk_angles(SQRT3 / 5),
+        DenseSpec.exp_rationals(0),
+        DenseSpec.exp_rationals(SQRT2, -SQRT3),
+    ]
+    for spec in specs:
+        for u, v in _first_interior_arcs(spec, rng):
+            w = spec.first_interior(u, v)
+            arc = Interval(u, v)
+            assert arc.contains(w) and spec.contains(w), (u, v, w)
+            # brute force by denominator: w is among the first points found
+            for den in range(1, 64):
+                found = {_dense_point(spec, u.ray, Fraction(k, den)) for k in range(-4 * den, 4 * den + 1)}
+                found = {p for p in found if arc.contains(p)}
+                if found:
+                    assert w in found, (u, v, w, den)
+                    break
+            else:
+                raise AssertionError(f"no point of denominator < 64 in ({u}, {v})")
+
+
+def test_dense_spec_rejects_cross_ray_arcs_and_points_outside_the_set():
+    spec = DenseSpec.exp_rationals(SQRT2, -SQRT3, seeds=(S_EXP(1, SQRT2),))
+    zero, inf = BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf()
+    for u, v in ((S_EXP(1, SQRT2), S_EXP(-1, -SQRT3)), (zero, S_EXP(1, SQRT2)), (S_EXP(-1, -SQRT3), inf)):
+        with pytest.raises(ValueError):
+            spec.first_interior(u, v)
+    half = FieldElem((1, 2))
+    assert spec.contains(S_EXP(1, SQRT2 + half)) and spec.contains(S_EXP(-1, half - SQRT3))
+    for p in (zero, inf, fr(1), BoundaryPoint.disk_angle(0), S_EXP(-1, SQRT2 + half), S_EXP(1, half - SQRT3)):
+        assert not spec.contains(p), p
+    assert DenseSpec.ext_rationals(0, seeds=(INF,)).contains(INF)
+    assert not DenseSpec.ext_rationals(0, seeds=(fr(0),)).contains(INF)
+    assert not DenseSpec.ext_rationals(SQRT2).contains(fr(1))
+    angles = DenseSpec.disk_angles(SQRT3 / 5)
+    assert angles.contains(BoundaryPoint.disk_angle(SQRT3 / 5 + FieldElem((7, 3))))
+    assert not angles.contains(BoundaryPoint.disk_angle(FieldElem((1, 3))))
 
 
 def test_half_farey_examples():
