@@ -10,10 +10,12 @@ For every elementary kind (finite_cyclic with n=5), farey, half_farey and
 square at depths 1-6 it records the sha256 of ``laminar build`` JSON and of
 ``laminar render`` SVG and ``--format json`` arcs; at depths 2 and 4 it records
 the exit code of ``laminar check`` and its report with the timings removed.  It
-also records the sha256 of ``laminar dynamics`` output: cusps at radius 8 and
-wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and triples at horizon
-200 with seeds 0-3 on two hyperbolic matrices, a rotation and an exponent
-translation.  For every system of each elementary kind and for farey, at depth
+records both renders also for two sets of depth-3 files whose layers share
+points: farey with half_farey, and the parabolic collection (which adds cusps)
+with farey.  It also records the sha256 of ``laminar dynamics`` output: cusps
+at radius 8 and wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and
+triples at horizon 200 with seeds 0-3 on two hyperbolic matrices, a rotation
+and an exponent translation.  For every system of each elementary kind and for farey, at depth
 3, it records the sha256 of the answers to a fixed seeded sample of queries:
 ``separate_distinct_pair`` on 50 chord pairs (witness, chain maximum and both
 containers), ``c_p_I`` on 30 chains and ``rainbow_probe`` on 30 points.  Build
@@ -42,6 +44,8 @@ BUILD_DEPTHS = range(1, 7)
 CHECK_DEPTHS = (2, 4)
 QUERY_DEPTH = 3
 QUERY_KINDS = KINDS[:5]  # elementary; farey is queried as its own system
+MULTI_RENDERS = (("farey", "half_farey"), ("parabolic", "farey"))  # layers that share points
+MULTI_DEPTH = 3
 
 _ONE, _ZERO = "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"
 _S = {"matrix": [_ZERO, "-1/1,0/1,0/1,0/1", _ONE, _ZERO]}
@@ -138,6 +142,15 @@ def collect(root: str) -> dict:
                         code = main(["check", doc, "--out", report])
                     with open(report, encoding="utf-8") as f:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
+        for kinds in MULTI_RENDERS:
+            docs = [os.path.join(tmp, f"{kind}-{MULTI_DEPTH}.json") for kind in kinds]
+            name = "+".join(kinds)
+            svg = os.path.join(tmp, f"{name}.svg")
+            arcs = os.path.join(tmp, f"{name}.arcs.json")
+            assert main(["render", *docs, "--out", svg]) == 0, kinds
+            assert main(["render", *docs, "--format", "json", "--out", arcs]) == 0, kinds
+            out[f"render:{name}:{MULTI_DEPTH}"] = _sha(svg)
+            out[f"arcs:{name}:{MULTI_DEPTH}"] = _sha(arcs)
         from laminar import elementary_col3, farey_system, half_farey_system, square_system
 
         systems = [("farey", farey_system())]

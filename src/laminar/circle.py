@@ -43,17 +43,20 @@ class BoundaryPoint:
 
     Points are hash-consed: equal points are one object, so ``==`` is
     identity and hashing is the object's own.  ``FieldElem`` is canonical,
-    which makes its numerators a complete key for ``x``.
+    which makes its numerators a complete key for ``x``.  Being immutable, a
+    point also keeps its order key, its encoding and its float embedding once
+    computed.
     """
 
-    __slots__ = ("chart", "kind", "x", "ray", "_key")
+    __slots__ = ("chart", "kind", "x", "ray", "_key", "_enc", "_z")
 
     def __new__(cls, chart: Chart, kind: int, x: FieldElem | None, ray: int):
         key = (chart, kind, ray) if x is None else (chart, kind, ray, x._a, x._b, x._c, x._d, x._den)
         p = _POINTS.get(key)
         if p is None:
             p = object.__new__(cls)
-            p.chart, p.kind, p.x, p.ray, p._key = chart, kind, x, ray, None
+            p.chart, p.kind, p.x, p.ray = chart, kind, x, ray
+            p._key = p._enc = p._z = None
             p = _POINTS.setdefault(key, p)
         return p
 
@@ -120,6 +123,11 @@ class BoundaryPoint:
     # -- encoding ----------------------------------------------------------
 
     def encode(self) -> str:
+        if self._enc is None:
+            self._enc = self._encode()
+        return self._enc
+
+    def _encode(self) -> str:
         if self.chart == Chart.EXT_REAL:
             return "r:inf" if self.kind == _EXT_INF else "r:" + self.x.encode()
         if self.chart == Chart.DISK_ANGLE:
@@ -158,6 +166,11 @@ class BoundaryPoint:
 
     def to_complex(self) -> complex:
         """Point on the unit circle of the Poincare disk, in 64-bit floats."""
+        if self._z is None:
+            self._z = self._embed()
+        return self._z
+
+    def _embed(self) -> complex:
         if self.chart == Chart.DISK_ANGLE:
             return cmath.exp(2j * cmath.pi * float(self.x))
         if self.chart == Chart.EXT_REAL:
@@ -201,10 +214,12 @@ def circular_order(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> int:
 
 
 def _shared_points():
-    """Only the four points 1, i, -1, -i of the unit circle have an exact image
-    in every chart (elsewhere e^t or the Cayley map leaves the field).  One
-    row per point in the charts disk_angle, ext_real and signed_exp; each of
-    the 12 points maps to its row as {chart: point}."""
+    """The four points 1, i, -1, -i of the unit circle, the only ones with an
+    exact image in all three charts (elsewhere e^t leaves the field).  Pairs
+    of charts share more exact points, such as theta 1/3 and r:-sqrt3/3, but
+    by design the table holds only these four.  One row per point in the
+    charts disk_angle, ext_real and signed_exp; each of the 12 points maps to
+    its row as {chart: point}."""
     q = FieldElem((1, 4))
     rows = (
         (BoundaryPoint.disk_angle(0), BoundaryPoint.ext_inf(), BoundaryPoint.exp_inf()),
@@ -226,7 +241,9 @@ def chart_convert(p: BoundaryPoint, target: Chart) -> BoundaryPoint:
         return p
     row = _SHARED.get(p)
     if row is None:
-        raise InexactConversion(f"{p!r} -> {target.value}: only the four points ±1, ±i convert exactly")
+        raise InexactConversion(
+            f"{p!r} -> {target.value}: only the four points ±1, ±i, exact in every chart, are converted"
+        )
     return row[target]
 
 

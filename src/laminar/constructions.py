@@ -153,6 +153,10 @@ def half_farey(spec: DenseSpec, q1: BoundaryPoint, q2: BoundaryPoint, depth: int
                 raise BadSeed("seed endpoints coincide")
             if not (spec.contains(q1) and spec.contains(q2)):
                 raise BadSeed("seed endpoints are not in the dense set")
+            try:
+                spec.first_interior(q1, q2)
+            except ValueError as exc:
+                raise BadSeed(f"seed arc ({q1.encode()}, {q2.encode()}) cannot be filled: {exc}") from exc
             fill = spec._fills[(q1, q2)] = _Fill(q1, q2)
         chords = fill.chords
         while len(fill.ends) <= depth:

@@ -51,24 +51,30 @@ def _fmt(x: float) -> str:
 
 
 class _Canvas:
+    """Pixel frame of one render; formats each point's coordinates once."""
+
     def __init__(self, spec: RenderSpec):
         self.scale = spec.size / 2.0 - MARGIN
         self.mid = spec.size / 2.0
+        self._at = {}  # point -> its formatted (x, y)
 
-    def xy(self, z: complex) -> tuple:
-        return (self.mid + z.real * self.scale, self.mid - z.imag * self.scale)
+    def at(self, p) -> tuple:
+        xy = self._at.get(p)
+        if xy is None:
+            z = p.to_complex()
+            xy = self._at[p] = (_fmt(self.mid + z.real * self.scale), _fmt(self.mid - z.imag * self.scale))
+        return xy
 
 
-def _arc_path(canvas: _Canvas, geom) -> str:
+def _arc_path(canvas: _Canvas, geom, a: tuple, b: tuple) -> str:
+    """Path of a chord from its geometry and its formatted endpoints."""
     kind, z1, z2, center, radius = geom
-    x1, y1 = canvas.xy(z1)
-    x2, y2 = canvas.xy(z2)
     if kind == "line":
-        return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
-    r = radius * canvas.scale
+        return f"M {a[0]} {a[1]} L {b[0]} {b[1]}"
+    r = _fmt(radius * canvas.scale)
     cross = ((z1 - center).real * (z2 - center).imag) - ((z1 - center).imag * (z2 - center).real)
     sweep = 0 if cross > 0 else 1
-    return f"M {_fmt(x1)} {_fmt(y1)} A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"
+    return f"M {a[0]} {a[1]} A {r} {r} 0 0 {sweep} {b[0]} {b[1]}"
 
 
 def render_svg(layers, cusps=(), spec: RenderSpec | None = None) -> str:
@@ -79,35 +85,32 @@ def render_svg(layers, cusps=(), spec: RenderSpec | None = None) -> str:
     """
     spec = spec or RenderSpec()
     canvas = _Canvas(spec)
+    width = _fmt(spec.stroke_width)
+    dot = _fmt(ENDPOINT_RADIUS)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.size}" height="{spec.size}" '
         f'viewBox="0 0 {spec.size} {spec.size}">',
         f'<rect width="{spec.size}" height="{spec.size}" fill="white"/>',
         f'<circle cx="{_fmt(canvas.mid)}" cy="{_fmt(canvas.mid)}" r="{_fmt(canvas.scale)}" '
-        f'fill="none" stroke="{CIRCLE_COLOR}" stroke-width="{_fmt(spec.stroke_width)}"/>',
+        f'fill="none" stroke="{CIRCLE_COLOR}" stroke-width="{width}"/>',
     ]
     for idx, chords in enumerate(layers):
         color = PALETTE[idx % len(PALETTE)]
         ordered = sorted(dict.fromkeys(chords), key=lambda c: c.encode())
         for ch in ordered:
-            z1, z2 = ch.lo.to_complex(), ch.hi.to_complex()
-            path = _arc_path(canvas, arc_geometry(z1, z2))
-            lines.append(
-                f'<path d="{path}" fill="none" stroke="{color}" '
-                f'stroke-width="{_fmt(spec.stroke_width)}"/>'
-            )
+            geom = arc_geometry(ch.lo.to_complex(), ch.hi.to_complex())
+            path = _arc_path(canvas, geom, canvas.at(ch.lo), canvas.at(ch.hi))
+            lines.append(f'<path d="{path}" fill="none" stroke="{color}" stroke-width="{width}"/>')
         seen = dict.fromkeys(p for ch in ordered for p in (ch.lo, ch.hi))
         for p in sorted(seen, key=lambda q: q.encode()):
-            x, y = canvas.xy(p.to_complex())
-            lines.append(
-                f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(ENDPOINT_RADIUS)}" fill="{color}"/>'
-            )
+            x, y = canvas.at(p)
+            lines.append(f'<circle cx="{x}" cy="{y}" r="{dot}" fill="{color}"/>')
     for p in sorted(dict.fromkeys(cusps), key=lambda q: q.encode()):
-        x, y = canvas.xy(p.to_complex())
+        x, y = canvas.at(p)
         lines.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(CUSP_RADIUS)}" fill="none" '
-            f'stroke="#000000" stroke-width="{_fmt(spec.stroke_width)}"/>'
+            f'<circle cx="{x}" cy="{y}" r="{_fmt(CUSP_RADIUS)}" fill="none" '
+            f'stroke="#000000" stroke-width="{width}"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

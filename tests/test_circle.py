@@ -1,5 +1,6 @@
 import cmath
 import random
+import struct
 import threading
 from fractions import Fraction
 
@@ -275,3 +276,49 @@ def test_threads_that_make_the_same_points_share_one_object():
     for column in zip(*made):
         assert all(p is column[0] for p in column)
     assert len({id(p) for p in made[0]}) == len(set(values))
+
+
+def test_cached_encoding_and_embedding_equal_fresh_ones(collections, standalone_systems):
+    systems = [s for col in collections.values() for s in col.systems] + [standalone_systems["farey"]]
+    points = {p for s in systems for ch in s.chords(4) for p in (ch.lo, ch.hi)}
+    assert len(points) > 1000
+    for p in points:
+        text, z = p.encode(), p.to_complex()
+        assert p.encode() is text and p.to_complex() is z
+        assert text == p._encode()
+        assert BoundaryPoint.parse(text) is p
+        fresh = p._embed()
+        assert struct.pack("<dd", z.real, z.imag) == struct.pack("<dd", fresh.real, fresh.imag), p
+
+
+def test_parse_rejects_other_spellings_of_a_point_whose_encoding_is_cached():
+    cases = {
+        fr(1, 2): ("r:2/4,0/1,0/1,0/1", "r:1/2,0/2,0/1,0/1", "r:+1/2,0/1,0/1,0/1", "r:1/2,0/1,0/1"),
+        BoundaryPoint.disk_angle(FieldElem((1, 3))): ("θ:2/6,0/1,0/1,0/1", "θ:4/3,0/1,0/1,0/1"),
+        BoundaryPoint.signed_exp(-1, FieldElem((1, 2))): ("e:-,3/6,0/1,0/1,0/1", "e:-,1/2,-0/1,0/1,0/1"),
+    }
+    for p, spellings in cases.items():
+        assert BoundaryPoint.parse(p.encode()) is p
+        for s in spellings:
+            with pytest.raises(ValueError):
+                BoundaryPoint.parse(s)
+
+
+def test_threads_that_encode_fresh_points_get_equal_strings():
+    rng = random.Random(18)
+    values = [((rng.getrandbits(200), rng.getrandbits(100) | 1), (rng.getrandbits(90), 7)) for _ in range(500)]
+    points = [BoundaryPoint.ext_real(FieldElem(a, b)) for a, b in values]
+    assert all(p._enc is None and p._z is None for p in points)  # nothing cached yet
+    barrier, got = threading.Barrier(8), [None] * 8
+
+    def run(k):
+        barrier.wait()
+        got[k] = [(p.encode(), p.to_complex()) for p in points]
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert all(g == got[0] for g in got)
+    assert [text for text, _ in got[0]] == [p._encode() for p in points]

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,22 @@ def test_half_farey_examples():
         assert half_farey(spec, fr(0), INF, d) == half_farey(fresh, fr(0), INF, d) == half_farey(
             DenseSpec.ext_rationals(0, seeds=(fr(0), INF)), fr(0), INF, d
         )
+    # seed arcs the enumeration cannot fill: through inf on the real line, the
+    # long way round one exp ray (either ray), and across the rays either way
+    unfillable = [
+        (DenseSpec.ext_rationals(0), fr(1), fr(-1)),
+        (DenseSpec.exp_rationals(0), S_EXP(1, 1), S_EXP(1, 0)),
+        (DenseSpec.exp_rationals(0), S_EXP(-1, 0), S_EXP(-1, 1)),
+        (DenseSpec.exp_rationals(0), S_EXP(1, 0), S_EXP(-1, 0)),
+        (DenseSpec.exp_rationals(0), S_EXP(-1, 0), S_EXP(1, 0)),
+    ]
+    for bad, u, v in unfillable:
+        for d in (2, 0):
+            with pytest.raises(BadSeed, match=re.escape(f"seed arc ({u.encode()}, {v.encode()})")):
+                half_farey(bad, u, v, d)
+        assert bad._fills == {}  # no fill left behind
+        if u.ray == v.ray:  # the reversed arc is the short way, which fills
+            assert len(half_farey(bad, v, u, 2)) == 7
 
 
 def test_half_farey_gaps_are_triangles_or_pending(standalone_systems):
