@@ -15,7 +15,9 @@ points: farey with half_farey, and the parabolic collection (which adds cusps)
 with farey.  It also records the sha256 of ``laminar dynamics`` output: cusps
 at radius 8 and wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and
 triples at horizon 200 with seeds 0-3 on two hyperbolic matrices, a rotation
-and an exponent translation.  For every system of each elementary kind and for farey, at depth
+and an exponent translation, and at horizon 1000 with seed 0 on the two
+hyperbolic matrices, whose powers ``to_float_matrix`` rescales from power 362
+(rational) and 222 (sqrt3) on.  For every system of each elementary kind and for farey, at depth
 3, it records the sha256 of the answers to a fixed seeded sample of queries:
 ``separate_distinct_pair`` on 50 chord pairs (witness, chain maximum and both
 containers), ``c_p_I`` on 30 chains and ``rainbow_probe`` on 30 points.  Build
@@ -60,6 +62,7 @@ GROUPS = {
 }
 CUSP_GROUPS = ("psl2z", "hecke_sqrt2", "hecke_sqrt3")
 TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
+RESCALED_GROUPS = ("hyp_rational", "hyp_sqrt3")  # triples at horizon 1000
 
 
 def _build_argv(kind: str, depth: int, out: str) -> list:
@@ -171,6 +174,9 @@ def collect(root: str) -> dict:
             for seed in range(4):
                 test = ["--test", "triples", "--horizon", "200", "--seed", str(seed)]
                 out[f"triples:{group}:{seed}"] = _dynamics(main, tmp, group, test)
+        for group in RESCALED_GROUPS:
+            test = ["--test", "triples", "--horizon", "1000", "--seed", "0"]
+            out[f"triples:{group}:1000"] = _dynamics(main, tmp, group, test)
     return out
 
 

@@ -22,7 +22,9 @@ region's ``min_gap``; an image triple has collapsed when it is at most ``eps``,
 which is exactly "two of its angles lie within ``eps`` in circular distance";
 it visits the target region when it is in the region with every bound relaxed
 by ``eps``.  Each image triple is sorted once, and region membership takes it
-sorted.  Witness angles are reported rounded to 9 digits.
+sorted.  Its least gap is computed once and serves both the collapse test and
+the visit test; the windows are tested only when the region has some.  Witness
+angles are reported rounded to 9 digits.
 """
 
 from __future__ import annotations
@@ -213,16 +215,6 @@ class SequenceReport:
         return {"verdict": self.verdict, "witness": self.witness, "params": self.params}
 
 
-def _act(m, w: float) -> float:
-    p, q, r, s = m
-    if math.isinf(w):
-        return math.inf if r == 0.0 else p / r
-    den = r * w + s
-    if den == 0.0:
-        return math.inf
-    return (p * w + q) / den
-
-
 def _min_gap(s) -> float:
     """The least circular gap of a sorted triple in [0, 1)."""
     a, b, c = s
@@ -231,12 +223,15 @@ def _min_gap(s) -> float:
 
 def sample_triples(count: int, rng: random.Random, windows=None, min_gap: float = 0.05):
     """Deterministic sample of compact-triple-set points: pairwise gap >= min_gap."""
+    if not windows and min_gap > 1 / 3:
+        raise DegenerateSample(f"cannot satisfy the angular gap {min_gap}: three gaps summing to 1 cannot all exceed 1/3")
     out = []
     tries = 0
     while len(out) < count:
         tries += 1
         if tries > 200 * count:
-            raise DegenerateSample("cannot satisfy the angular gap in the windows")
+            where = f" in the windows {windows}" if windows else ""
+            raise DegenerateSample(f"cannot satisfy the angular gap {min_gap}{where}")
         if windows:
             tr = sorted(rng.uniform(*windows[i % len(windows)]) % 1.0 for i in range(3))
         else:
@@ -315,24 +310,40 @@ def triple_escape_sampler(
     maps = list(maps)
     if len(maps) < 3:
         return SequenceReport("inconclusive", {"reason": "fewer than 3 maps"}, params)
+    if not k_sample:
+        return SequenceReport("inconclusive", {"reason": "no probe triples"}, params)
     n_steps = min(horizon, len(maps))
     tail_start = n_steps - max(1, n_steps // 4)
     probes = [tuple(_angle_to_real(a) for a in tr) for tr in k_sample]
     last_uncollapsed = [0] * len(k_sample)
     hits = []  # the first 50 witnesses
     hit_count = tail_hits = 0
+    floor = l_region.min_gap - eps
+    inf, isinf, atan, pi = math.inf, math.isinf, math.atan, math.pi
     for n, g in enumerate(maps[:n_steps], start=1):
-        m = g.to_float_matrix()
+        p, q, r, s = g.to_float_matrix()
+        at_inf = inf if r == 0.0 else p / r
         for ki, ws in enumerate(probes):
-            s = sorted([_real_to_angle(_act(m, w)) for w in ws])
-            if _min_gap(s) > eps:
+            t = []
+            for w in ws:
+                if isinf(w):
+                    v = at_inf
+                else:
+                    den = r * w + s
+                    v = inf if den == 0.0 else (p * w + q) / den
+                t.append((0.5 + atan(v) / pi) % 1.0)
+            t.sort()
+            a, b, c = t
+            gap = min(b - a, c - b, 1.0 - (c - a))  # _min_gap(t)
+            if gap > eps:
                 last_uncollapsed[ki] = n
-            if l_region.contains(s, slack=eps):
+            # a NaN gap is not below the floor, as in ``TripleRegion.contains``
+            if not gap < floor and (not l_region.windows or l_region.contains(t, slack=eps)):
                 hit_count += 1
                 if n > tail_start:
                     tail_hits += 1
                 if len(hits) < 50:
-                    hits.append((n, ki, tuple(round(a, 9) for a in s)))
+                    hits.append((n, ki, tuple(round(x, 9) for x in t)))
 
     if tail_hits and hit_count >= 10:
         return SequenceReport(

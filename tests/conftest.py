@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -87,6 +88,71 @@ def farey_mediants(depth: int) -> list:
             nxt += [(a, m), (m, b)]
         pending = nxt
     return list(dict.fromkeys(chords))
+
+
+def float_act(m, w: float) -> float:
+    """w -> (p*w + q) / (r*w + s) for the float matrix m = (p, q, r, s), with
+    inf for a zero denominator and p/r (inf when r is 0) at w = inf."""
+    p, q, r, s = m
+    if math.isinf(w):
+        return math.inf if r == 0.0 else p / r
+    den = r * w + s
+    if den == 0.0:
+        return math.inf
+    return (p * w + q) / den
+
+
+def sampler_reference(
+    maps, k_region=None, l_region=None, k_sample=None, horizon=1000, eps=1e-6, delta=0.05, samples=200, seed=0
+) -> dict:
+    """The report of ``triple_escape_sampler`` as JSON, by one call per point
+    and per test (``float_act``, ``_real_to_angle``, ``_min_gap`` and
+    ``TripleRegion.contains``): the oracle that the sampler's single pass per
+    probe is tested against."""
+    from laminar.dynamics import SequenceReport, TripleRegion, _angle_to_real, _min_gap, _real_to_angle
+
+    k_region = k_region or TripleRegion(delta)
+    l_region = l_region or TripleRegion(delta)
+    params = {
+        "horizon": horizon,
+        "eps": eps,
+        "delta": delta,
+        "samples": samples,
+        "seed": seed,
+        "k_region": k_region.to_json(),
+        "l_region": l_region.to_json(),
+    }
+    if k_sample is None:
+        k_sample = k_region.sample(samples, random.Random(seed))
+    maps = list(maps)
+    n_steps = min(horizon, len(maps))
+    tail_start = n_steps - max(1, n_steps // 4)
+    probes = [tuple(_angle_to_real(a) for a in tr) for tr in k_sample]
+    last_uncollapsed = [0] * len(k_sample)
+    hits = []
+    hit_count = tail_hits = 0
+    for n, g in enumerate(maps[:n_steps], start=1):
+        m = g.to_float_matrix()
+        for ki, ws in enumerate(probes):
+            s = sorted([_real_to_angle(float_act(m, w)) for w in ws])
+            if _min_gap(s) > eps:
+                last_uncollapsed[ki] = n
+            if l_region.contains(s, slack=eps):
+                hit_count += 1
+                if n > tail_start:
+                    tail_hits += 1
+                if len(hits) < 50:
+                    hits.append((n, ki, tuple(round(a, 9) for a in s)))
+    if tail_hits and hit_count >= 10:
+        return SequenceReport(
+            "violation", {"hits": hits, "hit_count": hit_count, "tail_hits": tail_hits}, params
+        ).to_json()
+    all_collapse = all(last < n_steps for last in last_uncollapsed)
+    if all_collapse and not tail_hits:
+        return SequenceReport(
+            "convergence_like", {"max_collapse_step": max(last_uncollapsed) + 1, "hit_count": hit_count}, params
+        ).to_json()
+    return SequenceReport("inconclusive", {"collapsed": all_collapse, "hit_count": hit_count}, params).to_json()
 
 
 def random_field_elem(rng: random.Random, span=30, den=8, irrational=True) -> FieldElem:

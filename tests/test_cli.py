@@ -317,7 +317,15 @@ def test_a_delta_no_window_can_hold_is_a_degenerate_sample(tmp_path, capsys):
     for horizon in ("2", "3"):
         assert run(["dynamics", "--group", str(group), "--test", "triples", "--horizon", horizon, "--delta", "0.4"]) == 2
         err = capsys.readouterr().err
-        assert err == "error: cannot satisfy the angular gap in the windows\n"
+        assert err == "error: cannot satisfy the angular gap 0.4: three gaps summing to 1 cannot all exceed 1/3\n"
+
+
+def test_no_probe_triples_is_an_inconclusive_report(tmp_path):
+    group, out = tmp_path / "g.json", tmp_path / "triples.json"
+    group.write_text(json.dumps(PSL2Z))
+    assert run(["dynamics", "--group", str(group), "--test", "triples", "--samples", "0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["verdict"], doc["witness"]) == ("inconclusive", {"reason": "no probe triples"})
 
 
 def test_an_empty_group_has_no_map_to_iterate(tmp_path, capsys):

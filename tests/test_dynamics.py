@@ -2,13 +2,13 @@ import itertools
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from laminar.circle import BoundaryPoint
 from laminar.dynamics import (
     TripleRegion,
-    _act,
     _angle_to_real,
     _circ_dist,
     _min_gap,
@@ -31,7 +31,7 @@ from laminar.field import SQRT2, SQRT3, FieldElem
 from laminar.lamination import Chord, Interval, interval_subset, interval_subset_closed
 from laminar.mobius import AngleShift, ExpAffine, MobiusMap
 
-from conftest import INF, chord_er, fr
+from conftest import INF, chord_er, float_act, fr, sampler_reference
 
 T = MobiusMap(1, 1, 0, 1)
 S = MobiusMap(0, -1, 1, 0)
@@ -166,7 +166,7 @@ def test_float_matrix_action_matches_exact_apply():
     for g, pts in cases:
         m = g.to_float_matrix()
         for p in pts:
-            got = _real_to_angle(_act(m, _angle_to_real(p.to_angle())))
+            got = _real_to_angle(float_act(m, _angle_to_real(p.to_angle())))
             assert _circ_dist(got, g.apply(p).to_angle()) < 1e-9, (g, p)
 
 
@@ -224,10 +224,66 @@ def test_sampler_small_inputs_and_errors():
     reduced = triple_escape_sampler(rots, k_sample=[tuple(sorted(x % 1.0 for x in (0.5, 1.1, 0.3)))], horizon=40)
     assert raw.witness["hit_count"] > 0
     assert raw.to_json() == reduced.to_json()
-    import random
-
-    with pytest.raises(DegenerateSample):
+    with pytest.raises(DegenerateSample, match=re.escape("angular gap 0.3 in the windows [(0.1, 0.11)]")):
         sample_triples(5, random.Random(0), windows=[(0.1, 0.11)], min_gap=0.3)
+    # without windows no triple has every gap above 1/3: it raises before drawing
+    rng = random.Random(0)
+    with pytest.raises(DegenerateSample, match="angular gap 0.4: three gaps summing to 1"):
+        sample_triples(5, rng, min_gap=0.4)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
+def _powers(g, count: int) -> list:
+    out = [g]
+    for _ in range(count - 1):
+        out.append(out[-1].compose(g))
+    return out
+
+
+def test_sampler_matches_the_reference_loop():
+    # the single pass per probe against one call per point and per test, on
+    # every action class, the point at infinity and both of its branches (a
+    # probe at angle 0 and a map with r == 0), a zero denominator, and a visit
+    # floor that an image triple's gap meets exactly
+    hyp = _powers(MobiusMap(1, SQRT3, SQRT3, 4), 240)  # rescaled from power 222 on
+    rots = [AngleShift(SQRT2 * n) for n in range(1, 121)]
+    flow = [ExpAffine(False, n * SQRT2) for n in range(1, 61)]
+    flipped = [ExpAffine(True, FieldElem((n, 3))) for n in range(1, 61)]
+    south = TripleRegion(0.05, windows=[(0.06, 0.44)])
+    north = TripleRegion(0.05, windows=[(0.56, 0.94)])
+    split = TripleRegion(0.05, windows=[(0.5, 0.7), (0.1, 0.2)])
+    w = _angle_to_real(0.2)
+    pole = MobiusMap(1, 0, 1, FieldElem(Fraction(-w)))
+    assert float_act(pole.to_float_matrix(), w) == math.inf  # r*w + s == 0.0
+    probe = (0.1, 0.4, 0.7)
+    first = sorted(_real_to_angle(float_act(rots[0].to_float_matrix(), _angle_to_real(a))) for a in probe)
+    cases = [
+        (hyp, {}),
+        (hyp, {"k_region": south, "l_region": split}),
+        (_powers(MobiusMap(2, 1, 1, 1), 60), {"k_region": south, "l_region": north}),
+        (rots, {}),
+        (rots, {"k_region": south, "l_region": north}),
+        (flow, {}),
+        (flipped, {"k_region": south, "l_region": north}),
+        (_powers(DIAG, 60), {}),
+        (_powers(DIAG, 60), {"k_sample": [(0.0, 0.3, 0.6), (0.25, 0.5, 0.0)]}),
+        (rots, {"k_sample": [(0.0, 0.3, 0.6), (0.1, 0.45, 0.8)]}),
+        (hyp[:40], {"k_sample": [(0.0, 0.35, 0.7)]}),
+        ([pole] * 4, {"k_sample": [(0.2, 0.5, 0.8), (0.1, 0.2, 0.6)]}),
+        (rots, {"k_sample": [probe], "l_region": TripleRegion(_min_gap(first)), "eps": 0.0}),
+    ]
+    for maps, extra in cases:
+        for seed in (0, 1):
+            kw = {"horizon": len(maps), "samples": 40, "seed": seed, **extra}
+            assert triple_escape_sampler(maps, **kw).to_json() == sampler_reference(maps, **kw), (maps[0], kw)
+
+
+def test_sampler_with_no_probes_is_inconclusive():
+    rots = [AngleShift(SQRT2 * n) for n in range(1, 11)]
+    for kw in ({"k_sample": []}, {"samples": 0}):
+        rep = triple_escape_sampler(rots, horizon=10, **kw)
+        assert rep.verdict == "inconclusive"
+        assert rep.witness == {"reason": "no probe triples"}
 
 
 def test_sampler_exp_affine_actions():
