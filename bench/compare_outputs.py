@@ -13,7 +13,9 @@ the exit code of ``laminar check`` and its report with the timings removed.  It
 records both renders also for two sets of depth-3 files whose layers share
 points: farey with half_farey, and the parabolic collection (which adds cusps)
 with farey.  It also records the sha256 of ``laminar dynamics`` output: cusps
-at radius 8 and wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, and
+at radius 8 and wings on PSL(2,Z) and the Hecke sqrt2 and sqrt3 groups, cusps
+at radius 10 on the two Hecke groups and at radius 6 on the group generated by
+[[1, sqrt2], [0, 1]] and [[1, 0], [sqrt3, 1]], and
 triples at horizon 200 with seeds 0-3 on two hyperbolic matrices, a rotation
 and an exponent translation, and at horizon 1000 with seed 0 on the two
 hyperbolic matrices, whose powers ``to_float_matrix`` rescales from power 362
@@ -59,8 +61,15 @@ GROUPS = {
     "hyp_sqrt3": [{"matrix": [_ONE, "0/1,0/1,1/1,0/1", "0/1,0/1,1/1,0/1", "4/1,0/1,0/1,0/1"]}],
     "angle_sqrt3_7": [{"action": "angle_shift", "delta": "0/1,0/1,1/7,0/1"}],
     "exp_sqrt2": [{"action": "exp_affine", "flip": False, "tau": "0/1,1/1,0/1,0/1"}],
+    "mixed_sqrt2_sqrt3": [
+        {"matrix": [_ONE, "0/1,1/1,0/1,0/1", _ZERO, _ONE]},
+        {"matrix": [_ONE, _ZERO, "0/1,0/1,1/1,0/1", _ONE]},
+    ],
 }
 CUSP_GROUPS = ("psl2z", "hecke_sqrt2", "hecke_sqrt3")
+# cusps at further radii: perfbench's radius on the Hecke groups, and a group
+# whose products mix sqrt2, sqrt3 and sqrt6 terms
+CUSP_RADII = (("hecke_sqrt2", 10), ("hecke_sqrt3", 10), ("mixed_sqrt2_sqrt3", 6))
 TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
 RESCALED_GROUPS = ("hyp_rational", "hyp_sqrt3")  # triples at horizon 1000
 
@@ -170,6 +179,8 @@ def collect(root: str) -> dict:
         for group in CUSP_GROUPS:
             out[f"cusps:{group}:8"] = _dynamics(main, tmp, group, ["--test", "cusps", "--radius", "8"])
             out[f"wings:{group}"] = _dynamics(main, tmp, group, ["--test", "wings"])
+        for group, radius in CUSP_RADII:
+            out[f"cusps:{group}:{radius}"] = _dynamics(main, tmp, group, ["--test", "cusps", "--radius", str(radius)])
         for group in TRIPLE_GROUPS:
             for seed in range(4):
                 test = ["--test", "triples", "--horizon", "200", "--seed", str(seed)]

@@ -214,19 +214,29 @@ def circular_order(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> int:
 
 
 def _shared_points():
-    """The four points 1, i, -1, -i of the unit circle, the only ones with an
-    exact image in all three charts (elsewhere e^t leaves the field).  Pairs
-    of charts share more exact points, such as theta 1/3 and r:-sqrt3/3, but
-    by design the table holds only these four.  One row per point in the
-    charts disk_angle, ext_real and signed_exp; each of the 12 points maps to
-    its row as {chart: point}."""
-    q = FieldElem((1, 4))
-    rows = (
-        (BoundaryPoint.disk_angle(0), BoundaryPoint.ext_inf(), BoundaryPoint.exp_inf()),
-        (BoundaryPoint.disk_angle(q), BoundaryPoint.ext_real(-1), BoundaryPoint.signed_exp(-1, 0)),
-        (BoundaryPoint.disk_angle(q * 2), BoundaryPoint.ext_real(0), BoundaryPoint.exp_zero()),
-        (BoundaryPoint.disk_angle(q * 3), BoundaryPoint.ext_real(1), BoundaryPoint.signed_exp(1, 0)),
-    )
+    """The points with an exact image in more than one chart, one row each.
+
+    The angle theta = k/24 is the real -cot(pi*k/24) (theta 0 is r:inf), and
+    that cotangent lies in the field for every k: start from cot(pi/24) =
+    2 + sqrt2 + sqrt3 + sqrt6 and step by the addition formula
+    cot(a + b) = (cot a * cot b - 1) / (cot a + cot b).  Only the four rows
+    1, i, -1, -i (k = 0, 6, 12, 18) also have a signed_exp point: elsewhere
+    e^t leaves the field.  No other point is exact in two charts, since the
+    roots of unity in Q(i, sqrt2, sqrt3) are the 24th ones.  Each point of a
+    row maps to its row as {chart: point}."""
+    exp = {
+        0: BoundaryPoint.exp_inf(),
+        6: BoundaryPoint.signed_exp(-1, 0),
+        12: BoundaryPoint.exp_zero(),
+        18: BoundaryPoint.signed_exp(1, 0),
+    }
+    step = cot = FieldElem(2, 1, 1, 1)
+    rows = [(BoundaryPoint.disk_angle(0), BoundaryPoint.ext_inf(), exp[0])]
+    for k in range(1, 24):
+        row = (BoundaryPoint.disk_angle(FieldElem((k, 24))), BoundaryPoint.ext_real(-cot))
+        rows.append((*row, exp[k]) if k in exp else row)
+        if k < 23:  # cot(pi) is not a real
+            cot = (cot * step - 1) / (cot + step)
     return {p: {s.chart: s for s in row} for row in rows for p in row}
 
 
@@ -234,17 +244,18 @@ _SHARED = _shared_points()
 
 
 def chart_convert(p: BoundaryPoint, target: Chart) -> BoundaryPoint:
-    """Exact, order-preserving chart conversion: ``p`` in its own chart, one
-    of the four shared points in any chart, and nothing else."""
+    """Exact, order-preserving chart conversion: ``p`` in its own chart, or
+    its entry in the table of shared points, and nothing else."""
     target = Chart(target)
     if p.chart == target:
         return p
-    row = _SHARED.get(p)
-    if row is None:
+    q = _SHARED.get(p, {}).get(target)
+    if q is None:
         raise InexactConversion(
-            f"{p!r} -> {target.value}: only the four points ±1, ±i, exact in every chart, are converted"
+            f"{p!r} -> {target.value}: only theta k/24 <-> r:-cot(pi*k/24), and the four points ±1, ±i"
+            " in every chart, are converted"
         )
-    return row[target]
+    return q
 
 
 def require_same_chart(*points: BoundaryPoint) -> Chart:

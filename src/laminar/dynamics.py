@@ -241,19 +241,32 @@ def sample_triples(count: int, rng: random.Random, windows=None, min_gap: float 
     return out
 
 
+def _window_arcs(lo: float, hi: float) -> list:
+    """The window [lo, hi] as arcs of [0, 1]: reduced mod 1, and split in two
+    where it reaches 1."""
+    if hi - lo >= 1.0:
+        return [(0.0, 1.0)]
+    start = lo % 1.0
+    end = start + (hi - lo)
+    return [(start, end)] if end < 1.0 else [(start, 1.0), (0.0, end - 1.0)]
+
+
 class TripleRegion:
     """Compact set of triples: pairwise angular gap >= min_gap, coordinates in
     the given angle windows.  The finite sample drawn from it parametrizes the
-    probes; membership of image triples is tested against the region itself."""
+    probes; membership of image triples is tested against the region itself.
+    A window may reach past 0 or 1; it is read mod 1, as the sampler reads
+    its draws, while ``to_json`` echoes the windows as given."""
 
     def __init__(self, min_gap: float = 0.05, windows=None):
         self.min_gap = float(min_gap)
         self.windows = [tuple(w) for w in windows] if windows else None
+        self._arcs = [arc for w in self.windows for arc in _window_arcs(*w)] if windows else None
 
     def _in_windows(self, a: float, slack: float) -> bool:
-        if not self.windows:
+        if not self._arcs:
             return True
-        return any(lo - slack <= a <= hi + slack for lo, hi in self.windows)
+        return any(lo - slack <= a <= hi + slack for lo, hi in self._arcs)
 
     def contains(self, s, slack: float = 0.0) -> bool:
         """Membership of ``s``, a sorted triple in [0, 1), with every bound

@@ -4,10 +4,14 @@ affine actions used in the angle and exponent charts.
 Matrices are kept in projective canonical form: scale so the first nonzero
 entry is a positive rational and the sixteen rational coefficients are coprime
 integers.  A map stores these 16 canonical integer numerators, and compose,
-inverse and element type run on them with integer arithmetic only; the entries
-are also kept as field elements for the action on points.  Fixed points
-outside Q(sqrt2, sqrt3) are carried symbolically by their exact defining
-quadratic and branch sign.
+inverse and element type run on them with integer arithmetic only, at the
+cost of their subfield: products whose factors all lie in Q(sqrt3), or all in
+Q(sqrt2), skip the coefficient products that are zero.  Only the constructor
+tests det > 0; a product or inverse of such maps has det > 0, and canonical
+scaling multiplies the determinant by a square.  The entries as field
+elements, for the action on points, are built on first use: most maps of a
+word ball are only classified and keyed.  Fixed points outside Q(sqrt2, sqrt3)
+are carried symbolically by their exact defining quadratic and branch sign.
 """
 
 from __future__ import annotations
@@ -59,13 +63,20 @@ _KEY = "m:" + ",".join(["{},1"] * 16)
 
 
 def _mul_add(x, y, u=_ZERO, v=_ZERO, k=1):
-    """x*y + k*u*v for field elements given as 4-int numerator tuples."""
+    """x*y + k*u*v for field elements given as 4-int numerator tuples.
+
+    When all four factors lie in Q(sqrt3), or all in Q(sqrt2), only the
+    coefficient products that can be nonzero are taken."""
     a1, b1, c1, d1 = x
     a2, b2, c2, d2 = y
     a3, b3, c3, d3 = u
     a4, b4, c4, d4 = v
     if k != 1:
         a3, b3, c3, d3 = k * a3, k * b3, k * c3, k * d3
+    if not (b1 or b2 or b3 or b4 or d1 or d2 or d3 or d4):
+        return (a1 * a2 + 3 * c1 * c2 + a3 * a4 + 3 * c3 * c4, 0, a1 * c2 + c1 * a2 + a3 * c4 + c3 * a4, 0)
+    if not (c1 or c2 or c3 or c4 or d1 or d2 or d3 or d4):
+        return (a1 * a2 + 2 * b1 * b2 + a3 * a4 + 2 * b3 * b4, a1 * b2 + b1 * a2 + a3 * b4 + b3 * a4, 0, 0)
     return (
         a1 * a2 + 2 * b1 * b2 + 3 * c1 * c2 + 6 * d1 * d2 + a3 * a4 + 2 * b3 * b4 + 3 * c3 * c4 + 6 * d3 * d4,
         a1 * b2 + b1 * a2 + 3 * (c1 * d2 + d1 * c2) + a3 * b4 + b3 * a4 + 3 * (c3 * d4 + d3 * c4),
@@ -97,11 +108,17 @@ def _canonical(n) -> tuple:
 class MobiusMap(_Action):
     """Projectivized 2x2 map x -> (px+q)/(rx+s) with det > 0, acting on ext_real.
 
-    ``_n`` holds the 16 canonical integer numerators; ``p``, ``q``, ``r``, ``s``
-    are the same entries as field elements.
+    ``_n`` holds the 16 canonical integer numerators.  ``p``, ``q``, ``r``,
+    ``s`` are the same entries as field elements, built on first use and kept
+    in ``_e``: a map in a word ball is often only classified and keyed.
+
+    Only ``__init__`` tests the determinant.  A product or inverse of maps
+    with det > 0 has det > 0, and canonical scaling multiplies the
+    determinant by a square (the conjugate product squared, and 1/g^2), so
+    ``compose`` and ``inverse`` build their result without a test.
     """
 
-    __slots__ = ("_n", "p", "q", "r", "s")
+    __slots__ = ("_n", "_e")
 
     chart = Chart.EXT_REAL
 
@@ -112,23 +129,21 @@ class MobiusMap(_Action):
             raise InvalidMap("determinant must be positive")
         entries = (p, q, r, s)
         lcm = math.lcm(*(e._den for e in entries))
-        self._load(_canonical([n * (lcm // e._den) for e in entries for n in (e._a, e._b, e._c, e._d)]))
+        self._n = _canonical([n * (lcm // e._den) for e in entries for n in (e._a, e._b, e._c, e._d)])
 
-    def _load(self, n) -> None:
-        self._n = n
-        self.p = _raw(n[0], n[1], n[2], n[3], 1)
-        self.q = _raw(n[4], n[5], n[6], n[7], 1)
-        self.r = _raw(n[8], n[9], n[10], n[11], 1)
-        self.s = _raw(n[12], n[13], n[14], n[15], 1)
+    def _entries(self) -> tuple:
+        """(p, q, r, s) as field elements; threads that race here store equal tuples."""
+        try:
+            return self._e
+        except AttributeError:
+            n = self._n
+            self._e = e = tuple(_raw(n[i], n[i + 1], n[i + 2], n[i + 3], 1) for i in (0, 4, 8, 12))
+            return e
 
-    @staticmethod
-    def _of(n) -> "MobiusMap":
-        """The map with canonical numerators ``n``, whose determinant must be positive."""
-        if _sign4(*_mul_add(n[0:4], n[12:16], n[4:8], n[8:12], -1)) <= 0:
-            raise InvalidMap("determinant must be positive")
-        g = _new(MobiusMap)
-        g._load(n)
-        return g
+    p = property(lambda self: self._entries()[0])
+    q = property(lambda self: self._entries()[1])
+    r = property(lambda self: self._entries()[2])
+    s = property(lambda self: self._entries()[3])
 
     @staticmethod
     def identity() -> "MobiusMap":
@@ -139,7 +154,9 @@ class MobiusMap(_Action):
 
     def inverse(self) -> "MobiusMap":
         n = self._n
-        return MobiusMap._of(_canonical((*n[12:16], *(-x for x in n[4:12]), *n[0:4])))
+        g = _new(MobiusMap)
+        g._n = _canonical((*n[12:16], *(-x for x in n[4:12]), *n[0:4]))
+        return g
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         if not isinstance(other, MobiusMap):
@@ -147,16 +164,16 @@ class MobiusMap(_Action):
         m, n = self._n, other._n
         p1, q1, r1, s1 = m[0:4], m[4:8], m[8:12], m[12:16]
         p2, q2, r2, s2 = n[0:4], n[4:8], n[8:12], n[12:16]
-        return MobiusMap._of(
-            _canonical(
-                (
-                    *_mul_add(p1, p2, q1, r2),
-                    *_mul_add(p1, q2, q1, s2),
-                    *_mul_add(r1, p2, s1, r2),
-                    *_mul_add(r1, q2, s1, s2),
-                )
+        g = _new(MobiusMap)
+        g._n = _canonical(
+            (
+                *_mul_add(p1, p2, q1, r2),
+                *_mul_add(p1, q2, q1, s2),
+                *_mul_add(r1, p2, s1, r2),
+                *_mul_add(r1, q2, s1, s2),
             )
         )
+        return g
 
     @property
     def is_identity(self) -> bool:
@@ -165,14 +182,18 @@ class MobiusMap(_Action):
     def apply(self, x: BoundaryPoint) -> BoundaryPoint:
         if x.chart != Chart.EXT_REAL:
             raise ChartMismatch("matrix acts on the ext_real chart")
+        try:
+            p, q, r, s = self._e
+        except AttributeError:
+            p, q, r, s = self._entries()
         if x.is_infinity:
-            if self.r.is_zero():
+            if r.is_zero():
                 return BoundaryPoint.ext_inf()
-            return BoundaryPoint.ext_real(self.p / self.r)
-        denom = self.r * x.x + self.s
+            return BoundaryPoint.ext_real(p / r)
+        denom = r * x.x + s
         if denom.is_zero():
             return BoundaryPoint.ext_inf()
-        return BoundaryPoint.ext_real((self.p * x.x + self.q) / denom)
+        return BoundaryPoint.ext_real((p * x.x + q) / denom)
 
     def element_type(self) -> ElementType:
         n = self._n
@@ -191,12 +212,13 @@ class MobiusMap(_Action):
         """(points, symbolic) with exact field points and SymbolicRoot markers."""
         if self.is_identity:
             raise ValueError("identity fixes everything")
-        if self.r.is_zero():
+        p, q, r, s = self._entries()
+        if r.is_zero():
             pts = [BoundaryPoint.ext_inf()]
-            if self.p != self.s:
-                pts.append(BoundaryPoint.ext_real(self.q / (self.s - self.p)))
+            if p != s:
+                pts.append(BoundaryPoint.ext_real(q / (s - p)))
             return pts, []
-        a, b, c = self.r, self.s - self.p, -self.q
+        a, b, c = r, s - p, -q
         disc = b * b - a * c * 4
         sgn = disc.sign()
         if sgn < 0:
@@ -211,7 +233,7 @@ class MobiusMap(_Action):
         return [], [SymbolicRoot.make(a, b, c, -1), SymbolicRoot.make(a, b, c, 1)]
 
     def to_json(self):
-        return {"matrix": [e.encode() for e in (self.p, self.q, self.r, self.s)]}
+        return {"matrix": [e.encode() for e in self._entries()]}
 
     def to_float_matrix(self):
         n = self._n
@@ -221,7 +243,8 @@ class MobiusMap(_Action):
         return tuple(float(_make(n[i], n[i + 1], n[i + 2], n[i + 3], den)) for i in (0, 4, 8, 12))
 
     def __repr__(self):
-        return f"MobiusMap[{self.p!r},{self.q!r};{self.r!r},{self.s!r}]"
+        p, q, r, s = self._entries()
+        return f"MobiusMap[{p!r},{q!r};{r!r},{s!r}]"
 
 
 @dataclass(frozen=True)

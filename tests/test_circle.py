@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import random
 import struct
 import threading
@@ -8,7 +9,7 @@ import pytest
 
 from laminar.circle import BoundaryPoint, Chart, chart_convert, circular_order
 from laminar.errors import ChartMismatch, IncomparableCharts, InexactConversion
-from laminar.field import SQRT2, FieldElem
+from laminar.field import SQRT2, SQRT3, FieldElem
 from laminar.mobius import AngleShift, ExpAffine, MobiusMap
 
 from conftest import INF, fr, random_field_elem
@@ -102,7 +103,10 @@ def test_chart_convert_examples():
     with pytest.raises(InexactConversion):
         chart_convert(fr(1, 3), Chart.SIGNED_EXP)
     with pytest.raises(InexactConversion):
-        chart_convert(BoundaryPoint.disk_angle(q(1, 3)), Chart.EXT_REAL)
+        chart_convert(BoundaryPoint.disk_angle(q(1, 5)), Chart.EXT_REAL)
+    assert chart_convert(BoundaryPoint.disk_angle(q(1, 3)), Chart.EXT_REAL) == BoundaryPoint.ext_real(-SQRT3 / 3)
+    with pytest.raises(InexactConversion):
+        chart_convert(BoundaryPoint.disk_angle(q(1, 3)), Chart.SIGNED_EXP)
     assert chart_convert(fr(1), Chart.SIGNED_EXP) == BoundaryPoint.signed_exp(1, 0)
     assert chart_convert(BoundaryPoint.exp_zero(), Chart.EXT_REAL) == fr(0)
     assert chart_convert(BoundaryPoint.exp_inf(), Chart.EXT_REAL) == INF
@@ -121,7 +125,7 @@ def test_conversion_is_order_isomorphic_on_registered_points():
 
 def test_incomparable_charts():
     with pytest.raises(IncomparableCharts):
-        circular_order(fr(5), BoundaryPoint.disk_angle(FieldElem((1, 3))), fr(2))
+        circular_order(fr(5), BoundaryPoint.disk_angle(FieldElem((1, 5))), fr(2))
 
 
 def test_encode_parse_round_trip():
@@ -217,34 +221,62 @@ def test_conversions_and_actions_return_the_one_object():
             assert g.apply(p) is g.compose(g.inverse()).compose(g).apply(p)
 
 
-def test_only_the_four_shared_points_convert_and_they_agree_with_the_float_embedding():
+def test_only_the_shared_points_convert_and_they_agree_with_the_float_embedding():
     # the float embedding is the oracle: a conversion must land on the same
-    # circle point, and it exists exactly for the points at 1, i, -1, -i
+    # circle point; disk_angle and ext_real share the 24th roots of unity,
+    # and signed_exp shares only the four points 1, i, -1, -i
     s = BoundaryPoint.signed_exp
     points = [INF, BoundaryPoint.exp_zero(), BoundaryPoint.exp_inf()]
-    for d in (1, 2, 3, 4, 8):
-        for k in range(-8, 9):
+    for d in (1, 2, 3, 4, 5, 8, 24):
+        for k in range(-8, 25):
             q = FieldElem((k, d))
             points += [BoundaryPoint.ext_real(q), BoundaryPoint.disk_angle(q), s(1, q), s(-1, q)]
-    for x in (SQRT2, SQRT2 / 3 - 1, FieldElem(0, 0, (1, 2))):
+    for x in (SQRT2, SQRT2 / 3 - 1, FieldElem(0, 0, (1, 2)), -SQRT3, SQRT2 - 1, FieldElem(2, 1, 1, 1)):
         points += [BoundaryPoint.ext_real(x), BoundaryPoint.disk_angle(x), s(1, x), s(-1, x)]
     points = list(dict.fromkeys(points))
+    roots = [cmath.exp(2j * cmath.pi * k / 24) for k in range(24)]
     shared = set()
     for p in points:
         z = p.to_complex()
         at_four = min(abs(z - w) for w in (1, 1j, -1, -1j)) < 1e-12
+        at_root = min(abs(z - w) for w in roots) < 1e-12
         for target in Chart:
+            exact = at_four if Chart.SIGNED_EXP in (p.chart, target) else at_root
             try:
                 q = chart_convert(p, target)
             except InexactConversion:
-                assert target != p.chart and not at_four, (p, target)
+                assert target != p.chart and not exact, (p, target)
                 continue
             assert q.chart == target and abs(q.to_complex() - z) < 1e-12, (p, q)
             assert chart_convert(q, p.chart) is p
             if target != p.chart:
-                assert at_four, (p, target)
+                assert exact, (p, target)
                 shared.add(p)
-    assert len(shared) == 12 and {p.chart for p in shared} == set(Chart)
+    counts = {chart: sum(p.chart == chart for p in shared) for chart in Chart}
+    # ext_real: inf, 0, -1, 1, -sqrt3 (theta 1/6), sqrt2 - 1 (theta 5/8) and
+    # 2 + sqrt2 + sqrt3 + sqrt6 (theta 23/24)
+    assert counts == {Chart.DISK_ANGLE: 24, Chart.EXT_REAL: 7, Chart.SIGNED_EXP: 4}
+
+
+def test_angles_k_over_24_convert_exactly_and_keep_the_circular_order():
+    disks = [BoundaryPoint.disk_angle(FieldElem((k, 24))) for k in range(24)]
+    exts = [chart_convert(p, Chart.EXT_REAL) for p in disks]
+    assert exts[0] is INF and exts[1] is BoundaryPoint.ext_real(-FieldElem(2, 1, 1, 1))
+    assert exts[3] is BoundaryPoint.ext_real(-1 - SQRT2) and exts[4] is BoundaryPoint.ext_real(-SQRT3)
+    for disk, ext in zip(disks, exts):
+        assert abs(ext.to_complex() - disk.to_complex()) < 1e-12, (disk, ext)
+        assert chart_convert(ext, Chart.DISK_ANGLE) is disk
+    angles = [p.to_angle() for p in disks]
+
+    def float_order(i, j, k):
+        if len({i, j, k}) < 3:
+            return 0
+        return 1 if (angles[j] - angles[i]) % 1.0 < (angles[k] - angles[i]) % 1.0 else -1
+
+    for i, j, k in itertools.product(range(24), range(1, 24, 2), range(0, 24, 3)):
+        want = float_order(i, j, k)
+        assert circular_order(disks[i], exts[j], disks[k]) == want, (i, j, k)
+        assert circular_order(exts[i], disks[j], exts[k]) == want, (i, j, k)
 
 
 def test_points_in_different_charts_are_never_equal():

@@ -286,6 +286,33 @@ def test_sampler_with_no_probes_is_inconclusive():
         assert rep.witness == {"reason": "no probe triples"}
 
 
+def test_sampler_windows_that_reach_past_0_or_1():
+    # windows are read mod 1, as the sampler reads its draws: every probe lies
+    # in its region, and the report is that of the same windows split by hand
+    wrapped = [(0.9, 1.1), (-0.1, 0.1), (0.95, 1.0)]
+    by_hand = [(0.9, 1.0), (0.0, 0.1), (0.95, 1.0)]
+    cases = [
+        ([AngleShift(SQRT2 * n) for n in range(1, 201)], "violation"),
+        (_powers(MobiusMap(2, 1, 1, 1), 60), "convergence_like"),
+    ]
+    for maps, verdict in cases:
+        for windows in ([w] for w in wrapped[:2]):
+            region = TripleRegion(0.05, windows=windows)
+            rep = triple_escape_sampler(maps, region, region, horizon=len(maps), samples=20, seed=4)
+            assert rep.verdict == verdict and rep.params["k_region"]["windows"] == windows
+        region = TripleRegion(0.02, windows=wrapped)
+        split = TripleRegion(0.02, windows=by_hand)
+        probes = region.sample(30, random.Random(4))
+        for tr in probes:
+            assert all(any((a - lo) % 1.0 <= hi - lo + 1e-12 for lo, hi in wrapped) for a in tr), tr
+            assert region.contains(tr) and split.contains(tr), tr
+        kw = {"k_sample": probes, "horizon": len(maps)}
+        rep = triple_escape_sampler(maps, region, region, **kw)
+        assert rep.verdict == verdict
+        assert rep.witness == triple_escape_sampler(maps, split, split, **kw).witness
+        assert rep.params["k_region"]["windows"] == wrapped
+
+
 def test_sampler_exp_affine_actions():
     flow = [ExpAffine(False, n) for n in range(1, 200)]
     k = TripleRegion(0.05, windows=[(0.06, 0.44)])

@@ -272,6 +272,58 @@ def test_compose_and_inverse_match_fraction_canonicalization():
         MobiusMap(1, 2, 2, 4)
 
 
+def _subfield_map(rng, fields):
+    """A random map with det > 0 whose entry i lies in the subfield
+    ``fields[i]``: "1" for Q, "2" for Q(sqrt2), "3" for Q(sqrt3) and "6" for
+    Q(sqrt6)."""
+    units = {"1": 0, "2": 1, "3": 2, "6": 3}
+
+    def elem(f):
+        coefs = [(rng.randint(-9, 9), rng.randint(1, 4)), 0, 0, 0]
+        if f != "1":
+            coefs[units[f]] = (rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        return FieldElem(*coefs)
+
+    while True:
+        p, q, r, s = (elem(f) for f in fields)
+        det = (p * s - q * r).sign()
+        if det:
+            return MobiusMap(p, q, r, s) if det > 0 else MobiusMap(p, q, -r, -s)
+
+
+def test_products_across_subfields_match_fraction_canonicalization():
+    # products whose factors lie in different subfields take the general
+    # coefficient products; those within Q(sqrt2) or Q(sqrt3) skip the zero ones
+    rng = random.Random(23)
+    kinds = [
+        ("2222", "3333"),  # Q(sqrt2) times Q(sqrt3)
+        ("3333", "2222"),
+        ("3333", "1111"),  # Q(sqrt3) times a rational map
+        ("1111", "3333"),
+        ("6666", "2222"),  # entries with a sqrt6 term
+        ("3663", "6336"),
+        ("2323", "3232"),  # subfields mixed within one map
+        ("2222", "2222"),
+        ("3333", "3333"),
+    ]
+    x = BoundaryPoint.ext_real(FieldElem((1, 3), (1, 2), (1, 5), (1, 7)))
+    for a, b in kinds:
+        for _ in range(20):
+            g, h = _subfield_map(rng, a), _subfield_map(rng, b)
+            product = (g.p * h.p + g.q * h.r, g.p * h.q + g.q * h.s, g.r * h.p + g.s * h.r, g.r * h.q + g.s * h.s)
+            gh = g.compose(h)
+            _assert_canonical(gh, *product)
+            inverse = (gh.s, -gh.q, -gh.r, gh.p)
+            _assert_canonical(gh.inverse(), *inverse)
+            # entries built on a fresh map's first apply are those of the map
+            # that __init__ makes from the same product
+            for fresh, entries in ((g.compose(h), product), (gh.inverse(), inverse)):
+                made = MobiusMap(*entries)
+                assert fresh.apply(x) is made.apply(x) and fresh.apply(INF) is made.apply(INF)
+                assert (fresh.p, fresh.q, fresh.r, fresh.s) == (made.p, made.q, made.r, made.s)
+                assert fresh == made
+
+
 def _fraction_float_matrix(g):
     entries = (g.p, g.q, g.r, g.s)
     top = 0
