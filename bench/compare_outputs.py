@@ -22,7 +22,11 @@ hyperbolic matrices, whose powers ``to_float_matrix`` rescales from power 362
 (rational) and 222 (sqrt3) on.  For every system of each elementary kind and for farey, at depth
 3, it records the sha256 of the answers to a fixed seeded sample of queries:
 ``separate_distinct_pair`` on 50 chord pairs (witness, chain maximum and both
-containers), ``c_p_I`` on 30 chains and ``rainbow_probe`` on 30 points.  Build
+containers), ``c_p_I`` on 30 chains, ``rainbow_probe`` on 30 points, and
+``c_p_I`` on 30 more chains whose outer arc runs between two depth-5 points off
+the depth-3 truncation, mostly two in one slot between consecutive endpoints,
+so that the short arc inside a slot, the long arc round the circle and the wrap
+slot all occur (``slot_chain`` keys).  Build
 JSON is sorted, so it cannot show chord order: for each of those systems and
 for half_farey and square it records the sha256 of the encoded
 ``system.chords(d)`` tuples for d = 1-6, in order.  The laminar under
@@ -110,7 +114,7 @@ def _away_side(c1, c2):
 
 def _queries(system) -> dict:
     """Seeded separation, chain and probe answers on one system."""
-    from laminar import c_p_I, rainbow_probe, separate_distinct_pair
+    from laminar import Interval, c_p_I, rainbow_probe, separate_distinct_pair
 
     rng = random.Random(0)
     chords = sorted(system.chords(QUERY_DEPTH), key=lambda c: c.encode())
@@ -128,7 +132,23 @@ def _queries(system) -> dict:
         outer = c.side_containing(p) if p not in (c.lo, c.hi) else rng.choice(c.sides())
         chains.append([iv.encode() for iv in c_p_I(chords, p, outer)])
     probes = [repr(rainbow_probe(system, rng.choice(points), QUERY_DEPTH)) for _ in range(30)]
-    return {"separate": pairs, "chain": chains, "probe": probes}
+    # outer arcs between two points off the truncation, mostly two in one slot
+    # (the gap between consecutive endpoints): depth QUERY_DEPTH + 2 puts at
+    # least three points in every slot, where depth QUERY_DEPTH + 1 may put one
+    t = system.truncation(QUERY_DEPTH)
+    off = {p for c in system.chords(QUERY_DEPTH + 2) for p in (c.lo, c.hi)} - t.rank.keys()
+    off = sorted(off, key=lambda p: p.encode())
+    slots = {}
+    for p in off:
+        slots.setdefault(t.ranks(p)[0], []).append(p)
+    slot_chains = []
+    for _ in range(30):
+        start = rng.choice(off)
+        near = slots[t.ranks(start)[0]]
+        end = rng.choice([q for q in (near if rng.random() < 0.7 else off) if q is not start])
+        p = rng.choice(near if rng.random() < 0.3 else points)
+        slot_chains.append([iv.encode() for iv in c_p_I(chords, p, Interval(start, end))])
+    return {"separate": pairs, "chain": chains, "probe": probes, "slot_chain": slot_chains}
 
 
 def collect(root: str) -> dict:

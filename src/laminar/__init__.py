@@ -5,8 +5,8 @@ functions; builders keep growing memos of what they computed (fills extended
 under a lock, images that every caller would compute alike), so everything
 here is safe to share across threads.  Boundary points are hash-consed in one
 table that only grows and publishes each new point with ``dict.setdefault``,
-so equal points are one object even when threads make them at once; a tier-1
-test process retains about 107 000 points (peak RSS 170 -> 188 MB).
+so equal points are one object even when threads make them at once; it holds
+every point made in the process.
 """
 
 from .circle import BoundaryPoint, Chart, chart_convert, circular_order

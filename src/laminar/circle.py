@@ -200,11 +200,7 @@ class BoundaryPoint:
 def circular_order(x: BoundaryPoint, y: BoundaryPoint, z: BoundaryPoint) -> int:
     """The circular order of the circle: +1 ccw, -1 cw, 0 on repeated points."""
     if not (x.chart == y.chart == z.chart):
-        try:
-            y = chart_convert(y, x.chart)
-            z = chart_convert(z, x.chart)
-        except InexactConversion as exc:
-            raise IncomparableCharts(str(exc)) from exc
+        y, z = comparable(y, x.chart), comparable(z, x.chart)
     if x is y or y is z or x is z:  # one object per point
         return 0
     kx, ky, kz = x.linear_key(), y.linear_key(), z.linear_key()
@@ -256,6 +252,15 @@ def chart_convert(p: BoundaryPoint, target: Chart) -> BoundaryPoint:
             " in every chart, are converted"
         )
     return q
+
+
+def comparable(p: BoundaryPoint, target: Chart) -> BoundaryPoint:
+    """``p`` converted into ``target`` to be ordered among its points, or
+    IncomparableCharts where it has no exact image there."""
+    try:
+        return chart_convert(p, target)
+    except InexactConversion as exc:
+        raise IncomparableCharts(str(exc)) from exc
 
 
 def require_same_chart(*points: BoundaryPoint) -> Chart:

@@ -95,13 +95,6 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _first_parabolic(generators, radius):
-    for g in ball_enumerate(generators, radius):
-        if not g.is_identity and g.element_type() == ElementType.PARABOLIC:
-            return g
-    return None
-
-
 def _cmd_dynamics(args) -> int:
     try:
         generators = load_group(args.group)
@@ -112,7 +105,7 @@ def _cmd_dynamics(args) -> int:
         pts = cusp_points(generators, args.radius)
         doc = {"test": "cusps", "radius": args.radius, "cusps": [p.encode() for p in pts]}
     elif args.test == "wings":
-        g = _first_parabolic(generators, args.radius)
+        g = next((g for g in ball_enumerate(generators, args.radius) if g.element_type() == ElementType.PARABOLIC), None)
         if g is None:
             print("error: no parabolic element in the ball", file=sys.stderr)
             return 2
@@ -235,6 +228,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except LaminarError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # each command reports its own read errors, so this is a write
+        print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -48,8 +48,6 @@ def cusp_points(generators, radius: int) -> list:
     """Fixed points of all parabolic elements in the generator ball."""
     found = {}
     for g in ball_enumerate(generators, radius):
-        if g.is_identity:
-            continue
         if g.element_type() == ElementType.PARABOLIC:
             pts, sym = g.fixed_points()
             assert not sym  # a parabolic fixed point is always a field point
@@ -243,7 +241,9 @@ def sample_triples(count: int, rng: random.Random, windows=None, min_gap: float 
 
 def _window_arcs(lo: float, hi: float) -> list:
     """The window [lo, hi] as arcs of [0, 1]: reduced mod 1, and split in two
-    where it reaches 1."""
+    where it reaches 1.  A window given high end first is a ValueError."""
+    if hi < lo:
+        raise ValueError(f"angle window {(lo, hi)} has its high end first; write one that wraps with hi > 1")
     if hi - lo >= 1.0:
         return [(0.0, 1.0)]
     start = lo % 1.0

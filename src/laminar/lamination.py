@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .circle import BoundaryPoint, Chart, circular_order, require_same_chart
+from .circle import BoundaryPoint, Chart, circular_order, comparable, require_same_chart
 from .errors import ChartMismatch, InvalidLamination, NotADistinctPair
 
 
@@ -309,27 +309,21 @@ class Truncation:
             stack.append(k)
         self._gaps = self._heights = self._by_encoding = None
 
-    def ranks(self, *points):
-        """Ranks of the points, or None where only exact predicates decide:
-        a point in another chart, or two distinct points off the truncation
-        that share a rank (the same slot between consecutive endpoints)."""
-        out, seen = [], {}
+    def ranks(self, *points) -> list:
+        """Ranks of the points, each first converted into this chart
+        (IncomparableCharts where it has no exact image there).  Distinct
+        points off the truncation in one slot, the gap between two
+        consecutive endpoints, share its odd rank."""
+        out = []
         for p in points:
             if p.chart != self.chart:
-                return None
+                p = comparable(p, self.chart)
             r = self.rank.get(p)
-            if r is None:
-                r = (2 * bisect_left(self.keys, p.linear_key()) - 1) % self.modulus
-            if seen.setdefault(r, p) != p:
-                return None
-            out.append(r)
+            out.append((2 * bisect_left(self.keys, p.linear_key()) - 1) % self.modulus if r is None else r)
         return out
 
     def interval(self, a: int, b: int) -> Interval:
         return Interval(self.points[a >> 1], self.points[b >> 1])
-
-    def sides(self) -> list:
-        return [s for i, j in self.segs for s in ((i, j), (j, i))]
 
     def members(self, g: int) -> list:
         """Gap g's far-side intervals as rank pairs, in ccw order."""
@@ -457,23 +451,23 @@ def c_p_I(chords, p: BoundaryPoint, outer: Interval) -> list[Interval]:
     """The chain {J in the interval family : p in J, J a subset of outer}.
 
     Returned ascending by inclusion, so the last element is the maximum.  A
-    crossing chord set raises InvalidLamination.  The chain is one walk in the
-    nesting forest (``Truncation.chain``, already in that order) unless
-    ``Truncation.ranks`` defers to the exact predicates, whose scan is sorted
-    by rank length: nested intervals have strictly growing rank length.
+    crossing chord set raises InvalidLamination, and a point with no exact
+    image in the chords' chart IncomparableCharts.  The chain is one walk in
+    the nesting forest (``Truncation.chain``, already in that order).  When
+    both ends of ``outer`` lie in one slot r, ``outer`` is either the short
+    arc inside the slot, which holds no side, or the long arc round the rest
+    of the circle: the rank arc (r, r - 1), which holds every endpoint.
     """
     chords = list(chords)
     t = truncation_of(chords)
-    if t.chords:
-        t.valid(chords)
-    m, ranks = t.modulus, t.ranks(p, outer.start, outer.end)
-    if ranks is not None:
-        return [t.interval(a, b) for a, b, _ in t.chain(*ranks)]
-    found = [s for s in t.sides() if t.interval(*s).contains(p) and interval_subset(t.interval(*s), outer)]
-    found.sort(key=lambda s: (s[1] - s[0]) % m)
-    if not all(rank_within(*u, *v, m) for u, v in zip(found, found[1:])):
-        raise InvalidLamination("C_p^I is not totally ordered: invalid truncation")
-    return [t.interval(*s) for s in found]
+    if not t.chords:
+        return []
+    x, c, d = t.valid(chords).ranks(p, outer.start, outer.end)
+    if c == d:
+        if circular_order(comparable(outer.start, t.chart), t.points[0], comparable(outer.end, t.chart)) != 1:
+            return []
+        d = c - 1
+    return [t.interval(a, b) for a, b, _ in t.chain(x, c, d)]
 
 
 # -- rainbows ------------------------------------------------------------------

@@ -35,12 +35,17 @@ def gap_refines(fine, coarse) -> bool:
     return all(any(interval_subset(u, w) for w in fine.intervals) for u in coarse.intervals)
 
 
+def rank_sides(t) -> list:
+    """Both sides (i, j) and (j, i) of every chord of truncation t, as ranks."""
+    return [s for i, j in t.segs for s in ((i, j), (j, i))]
+
+
 def chain_scan(t, x, c, d) -> list:
     """The sides (a, b) of truncation t that hold rank x and lie within the
     rank arc (c, d), ascending by inclusion, by a scan of all 2n sides: the
     oracle that ``Truncation.chain`` is tested against."""
     m = t.modulus
-    found = [(a, b) for a, b in t.sides() if rank_inside(a, x, b, m) and rank_within(a, b, c, d, m)]
+    found = [(a, b) for a, b in rank_sides(t) if rank_inside(a, x, b, m) and rank_within(a, b, c, d, m)]
     return sorted(found, key=lambda s: (s[1] - s[0]) % m)
 
 

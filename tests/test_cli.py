@@ -328,6 +328,25 @@ def test_no_probe_triples_is_an_inconclusive_report(tmp_path):
     assert (doc["verdict"], doc["witness"]) == ("inconclusive", {"reason": "no probe triples"})
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["no-such-directory", "a-directory"])
+def test_an_out_that_cannot_be_written_exits_two_with_one_error_line(tmp_path, capsys, target):
+    doc, group = tmp_path / "f.json", tmp_path / "g.json"
+    assert run(["build", "farey", "--depth", "1", "--out", str(doc)]) == 0
+    group.write_text(json.dumps(PSL2Z))
+    out = str(tmp_path / target)
+    for argv in (
+        ["build", "farey", "--depth", "1"],
+        ["check", str(doc)],
+        ["render", str(doc)],
+        ["render", str(doc), "--format", "json"],
+        ["dynamics", "--group", str(group), "--test", "cusps"],
+    ):
+        assert run([*argv, "--out", out]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: cannot write {out}: "), err
+    assert sorted(os.listdir(tmp_path)) == ["f.json", "g.json"]  # no temporary file is left behind
+
+
 def test_an_empty_group_has_no_map_to_iterate(tmp_path, capsys):
     group = tmp_path / "g.json"
     group.write_text(json.dumps({"generators": []}))

@@ -313,6 +313,16 @@ def test_sampler_windows_that_reach_past_0_or_1():
         assert rep.params["k_region"]["windows"] == wrapped
 
 
+def test_a_window_given_high_end_first_is_rejected_by_name():
+    # the sampler would draw between the bounds, but no angle lies in [0.6, 0.1]
+    with pytest.raises(ValueError, match=re.escape("(0.6, 0.1)")):
+        TripleRegion(0.05, windows=[(0.2, 0.3), (0.6, 0.1)])
+    rotations = [AngleShift(SQRT2 * n) for n in range(1, 21)]
+    with pytest.raises(ValueError, match="high end first"):
+        triple_escape_sampler(rotations, k_region=TripleRegion(0.05, windows=[(0.6, 0.1)]), samples=5)
+    assert TripleRegion(0.05, windows=[(0.4, 0.4)]).to_json()["windows"] == [(0.4, 0.4)]  # one angle wide
+
+
 def test_sampler_exp_affine_actions():
     flow = [ExpAffine(False, n) for n in range(1, 200)]
     k = TripleRegion(0.05, windows=[(0.06, 0.44)])

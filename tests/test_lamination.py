@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from laminar.checks import refined_gap
-from laminar.circle import BoundaryPoint
+from laminar.circle import BoundaryPoint, Chart, chart_convert
 from laminar.constructions import farey_tessellation, half_farey_system
-from laminar.errors import ChartMismatch, InvalidLamination, NotADistinctPair
+from laminar.errors import ChartMismatch, IncomparableCharts, InvalidLamination, NotADistinctPair
 from laminar.field import FieldElem
 from laminar.lamination import (
     Chord,
@@ -33,7 +33,7 @@ from laminar.lamination import (
     validate_truncation,
 )
 
-from conftest import INF, chain_scan, chord_er, fr, gap_refines, separation_top_scan
+from conftest import INF, chain_scan, chord_er, fr, gap_refines, rank_sides, separation_top_scan
 
 
 # -- independent rational-angle model (the brute-force oracle) -------------------
@@ -307,7 +307,7 @@ def test_chain_walk_matches_side_scan(collections):
     rng = random.Random(15)
     wrapped = 0
     for t in _query_truncations(rng, collections):
-        m, sides = t.modulus, t.sides()
+        m, sides = t.modulus, rank_sides(t)
         for x in range(m):  # odd ranks lie off the truncation, even ranks are endpoints
             for c, d in (rng.choice(sides), rng.sample(range(m), 2)):
                 wrapped += c > d
@@ -499,27 +499,111 @@ def test_rank_predicates_agree_with_exact_predicates():
             assert rank_within(a, b, c, d, m) == interval_subset(iv, jv)
         for _ in range(100):
             u, v, p, q = rng.sample(pts, 4)
-            ranks = t.ranks(u, v, p, q)
-            if ranks is None:  # two off points in one slot: ranks cannot decide
+            a, b, x, y = ranks = t.ranks(u, v, p, q)
+            if len(set(ranks)) < 4:  # two distinct off points in one slot: ranks cannot decide
                 continue
-            a, b, x, y = ranks
             assert rank_inside(a, x, b, m) == Interval(u, v).contains(p)
             assert rank_within(a, b, x, y, m) == interval_subset(Interval(u, v), Interval(p, q))
             assert rank_within(x, y, a, b, m) == interval_subset(Interval(p, q), Interval(u, v))
 
 
-def test_ranks_defer_to_exact_predicates_within_one_slot():
+def test_points_in_one_slot_share_its_rank():
     chords = [chord_er(0, 1), chord_er(2, 3)]
     t = Truncation(chords)
     p, q = fr(5, 4), fr(3, 2)  # both between the endpoints 1 and 2
-    assert t.ranks(p) == t.ranks(q) and t.ranks(p, q) is None
+    assert t.ranks(p) == t.ranks(q) == [3] and t.ranks(p, q) == [3, 3]
     assert t.ranks(p, p) == t.ranks(p) * 2
-    assert t.ranks(_ang(1, 3)) is None  # another chart
-    # the chains still come out right, through the exact predicates
+    # another chart: theta 1/3 is r:-1/sqrt3, in the wrap slot below 0; theta 1/7 has no real image
+    assert t.ranks(_ang(1, 3), fr(-1)) == [7, 7]
+    with pytest.raises(IncomparableCharts):
+        t.ranks(_ang(1, 7))
+    # the chains still come out right
     for outer in (Interval(p, fr(7, 4)), Interval(fr(7, 4), p), Interval(p, fr(-1)), Interval(fr(7, 4), fr(6, 5))):
         assert c_p_I(chords, q, outer) == _oracle_chain(chords, q, outer)
     # outer runs from q almost all the way round to p
     assert c_p_I(chords, fr(1, 2), Interval(q, p)) == [Interval(fr(0), fr(1))]
+
+
+def _in_slot(t, k, rng):
+    """A point strictly inside slot k of t, the ccw gap from endpoint k - 1 to
+    endpoint k (slot 0 is the wrap slot), in t's chart."""
+    lo, hi = t.points[k - 1], t.points[k]
+    f = FieldElem((rng.randint(1, 99), 100))
+    if t.chart == Chart.DISK_ANGLE:
+        return BoundaryPoint.disk_angle(lo.x + ((hi.x + 1 if k == 0 else hi.x) - lo.x) * f)
+    up = None if lo is INF else BoundaryPoint.ext_real(lo.x + rng.randint(1, 9) * f)
+    if k > 0:
+        return up if hi is INF else BoundaryPoint.ext_real(lo.x + (hi.x - lo.x) * f)
+    below = BoundaryPoint.ext_real(hi.x - rng.randint(1, 9) * f)  # slot 0 holds inf unless inf is lo
+    return below if up is None else rng.choice([below, INF, up])
+
+
+def _slot_queries(rng):
+    """(chords, t, p, outer) on random truncations whose endpoints are all
+    shared points theta k/24, half of them given as reals: p and the ends of
+    outer mostly in one slot, sometimes in the other chart."""
+    charts = (Chart.DISK_ANGLE, Chart.EXT_REAL)
+    shared = {chart: [chart_convert(_ang(k), chart) for k in range(24)] for chart in charts}
+    for n in range(120):
+        chords = _random_truncation(rng, grid=24, max_pts=10)
+        if n % 2:
+            chords = [Chord(*(chart_convert(q, Chart.EXT_REAL) for q in (ch.lo, ch.hi))) for ch in chords]
+        t = Truncation(chords)
+        here, other = shared[t.chart], shared[charts[1 - n % 2]]
+        slots = len(t.points)
+        for _ in range(20):
+            k, elsewhere = rng.choice([0, rng.randrange(slots)]), rng.randrange(slots)
+            s = _in_slot(t, k, rng)
+            e = rng.choice([_in_slot(t, k, rng), _in_slot(t, k, rng), rng.choice(t.points)])
+            e = _in_slot(t, elsewhere, rng) if rng.random() < 0.25 else e
+            if rng.random() < 0.25:
+                s, e = rng.sample(other, 2)
+            if rng.random() < 0.5:
+                s, e = e, s
+            p = rng.choice([_in_slot(t, k, rng), rng.choice(here), rng.choice(other), _in_slot(t, elsewhere, rng)])
+            if s != e:
+                yield chords, t, p, Interval(s, e)
+
+
+def test_c_p_I_in_shared_slots_and_across_charts_against_oracle():
+    """Every chain on ranks: p in one slot with an end of outer, both ends of
+    outer in one slot (the short arc inside it and the long arc round the
+    circle, wrap slot included), and p or outer in the other chart of the 24
+    shared points theta k/24 <-> r:-cot(pi k/24), in both directions.  The
+    oracle reads p and outer in the chords' chart."""
+    seen = dict.fromkeys(("queries", "p_slot", "short", "long", "wrap", "p_chart", "outer_chart"), 0)
+    for chords, t, p, outer in _slot_queries(random.Random(22)):
+        P, S, E = (chart_convert(q, t.chart) for q in (p, outer.start, outer.end))
+        (x,), (c,), (d,) = t.ranks(P), t.ranks(S), t.ranks(E)
+        seen["queries"] += 1
+        seen["p_slot"] += x % 2 == 1 and x in (c, d) and P not in (S, E)
+        if c == d:
+            seen["long" if Interval(S, E).contains(t.points[0]) else "short"] += 1
+            seen["wrap"] += c == t.modulus - 1
+        seen["p_chart"] += p.chart != t.chart
+        seen["outer_chart"] += outer.start.chart != t.chart
+        assert c_p_I(chords, p, outer) == _oracle_chain(chords, P, Interval(S, E)), (p, outer)
+    assert seen["queries"] > 2000 and min(seen.values()) > 150, seen
+
+
+def test_c_p_I_converts_an_outer_that_ends_on_a_chord_endpoint_in_another_chart():
+    chords = [chord_er(-1, 1), chord_er(0, 1)]
+    outer = Interval(_ang(6), _ang(18))  # r:-1 to r:1, given as angles
+    assert c_p_I(chords, fr(1, 2), outer) == [Interval(fr(0), fr(1)), Interval(fr(-1), fr(1))]
+    assert c_p_I(chords, fr(-1, 2), outer) == [Interval(fr(-1), fr(1))]
+
+
+def test_c_p_I_raises_on_an_outer_with_no_image_in_the_chords_chart():
+    # outer is converted into the chords' chart, never the chords into outer's,
+    # also where no side holding p could lie in outer
+    outer = Interval(fr(7, 3), fr(5))  # no disk_angle image
+    shared_ends = [Chord(_ang(0), _ang(6)), Chord(_ang(12), _ang(18))]
+    for chords, p in ((shared_ends, _ang(3)), (shared_ends, _ang(0)), ([Chord(_ang(1, 7), _ang(3, 7))], _ang(1, 7))):
+        with pytest.raises(IncomparableCharts):
+            c_p_I(chords, p, outer)
+    with pytest.raises(IncomparableCharts):
+        c_p_I(shared_ends, fr(7, 3), Interval(_ang(1), _ang(2)))  # nor has this p an image
+    assert c_p_I([], fr(7, 3), Interval(_ang(1), _ang(2))) == []  # no chords, nothing to compare
 
 
 def _old_violations(chords):

@@ -119,6 +119,21 @@ def test_classification_matches_root_count():
         assert g.element_type() == want[count]
 
 
+def test_identities_classify_as_identity_in_every_action_class():
+    # cusp_points and the CLI's wings search filter on element_type alone
+    third = AngleShift(FieldElem((1, 3)))
+    for g in (
+        MobiusMap.identity(),
+        S.compose(S),
+        T.compose(T.inverse()),
+        AngleShift(0),
+        third.compose(third).compose(third),
+        ExpAffine(False, 0),
+        ExpAffine(True, 1).compose(ExpAffine(True, 1)),
+    ):
+        assert g.is_identity and g.element_type() == ElementType.IDENTITY, g
+
+
 def test_chart_action_algebra():
     r0, r1 = ExpAffine(True, 0), ExpAffine(True, 1)
     assert r0.compose(r0).is_identity and r1.compose(r1).is_identity
