@@ -19,10 +19,14 @@ at radius 10 on the two Hecke groups and at radius 6 on the group generated by
 triples at horizon 200 with seeds 0-3 on two hyperbolic matrices, a rotation
 and an exponent translation, and at horizon 1000 with seed 0 on the two
 hyperbolic matrices, whose powers ``to_float_matrix`` rescales from power 362
-(rational) and 222 (sqrt3) on.  For every system of each elementary kind and for farey, at depth
-3, it records the sha256 of the answers to a fixed seeded sample of queries:
-``separate_distinct_pair`` on 50 chord pairs (witness, chain maximum and both
-containers), ``c_p_I`` on 30 chains, ``rainbow_probe`` on 30 points, and
+(rational) and 222 (sqrt3) on.  For the two Hecke groups and the sqrt2, sqrt3
+group it records the sha256 of ``fixed_points()`` of every non-identity map in
+the radius-6 word ball, field points encoded and symbolic roots as
+(a, b, c, branch): hyperbolic elements reach ``FieldElem.sqrt``, which no CLI
+command does (``fixed`` keys).  For every system of each elementary kind and
+for farey, at depth 3, it records the sha256 of the answers to a fixed seeded
+sample of queries: ``separate_distinct_pair`` on 50 chord pairs (witness,
+chain maximum and both containers), ``c_p_I`` on 30 chains, ``rainbow_probe`` on 30 points, and
 ``c_p_I`` on 30 more chains whose outer arc runs between two depth-5 points off
 the depth-3 truncation, mostly two in one slot between consecutive endpoints,
 so that the short arc inside a slot, the long arc round the circle and the wrap
@@ -76,6 +80,7 @@ CUSP_GROUPS = ("psl2z", "hecke_sqrt2", "hecke_sqrt3")
 CUSP_RADII = (("hecke_sqrt2", 10), ("hecke_sqrt3", 10), ("mixed_sqrt2_sqrt3", 6))
 TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
 RESCALED_GROUPS = ("hyp_rational", "hyp_sqrt3")  # triples at horizon 1000
+FIXED_GROUPS, FIXED_RADIUS = ("hecke_sqrt2", "hecke_sqrt3", "mixed_sqrt2_sqrt3"), 6
 
 
 def _build_argv(kind: str, depth: int, out: str) -> list:
@@ -105,6 +110,20 @@ def _dynamics(main, tmp: str, group: str, test: list) -> str:
     out = os.path.join(tmp, "dynamics.json")
     assert main(["dynamics", "--group", path, *test, "--out", out]) == 0, (group, test)
     return _sha(out)
+
+
+def _fixed(group: str) -> str:
+    """Digest of the fixed points of every non-identity map in the group's ball."""
+    from laminar import ball_enumerate
+    from laminar.mobius import map_from_json
+
+    answers = []
+    for g in ball_enumerate([map_from_json(m) for m in GROUPS[group]], FIXED_RADIUS):
+        if not g.is_identity:
+            points, roots = g.fixed_points()
+            roots = [[r.a.encode(), r.b.encode(), r.c.encode(), r.branch] for r in roots]
+            answers.append([[p.encode() for p in points], roots])
+    return hashlib.sha256(json.dumps(answers).encode("utf-8")).hexdigest()
 
 
 def _away_side(c1, c2):
@@ -201,6 +220,8 @@ def collect(root: str) -> dict:
             out[f"wings:{group}"] = _dynamics(main, tmp, group, ["--test", "wings"])
         for group, radius in CUSP_RADII:
             out[f"cusps:{group}:{radius}"] = _dynamics(main, tmp, group, ["--test", "cusps", "--radius", str(radius)])
+        for group in FIXED_GROUPS:
+            out[f"fixed:{group}:{FIXED_RADIUS}"] = _fixed(group)
         for group in TRIPLE_GROUPS:
             for seed in range(4):
                 test = ["--test", "triples", "--horizon", "200", "--seed", str(seed)]

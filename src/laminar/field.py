@@ -9,8 +9,10 @@ floating-point evaluation first (a static filter in the sense of Shewchuk,
 "Adaptive Precision Floating-Point Arithmetic and Fast Robust Geometric
 Predicates", 1997) and falls back to an exact algebraic procedure (split off
 the sqrt3 part and compare squares inside Q(sqrt2)), so comparisons are
-always exact.  The coefficients ``a``, ``b``, ``c``, ``d`` are exposed as
-exact ``fractions.Fraction``s (``_Q``).
+always exact.  Square roots go down the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3)
+one step at a time, on integer numerators.  ``fractions.Fraction`` (``_Q``)
+appears only at the edges: constructor arguments, the coefficients ``a``-``d``
+and the hash of a rational element.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _sgn(q) -> int:
 
 
 def _sign_sqrt2(m, n) -> int:
-    # sign of m + n*sqrt2 with m, n rational
+    # sign of m + n*sqrt2 with m, n integers
     if n == 0:
         return _sgn(m)
     if m == 0:
@@ -336,12 +338,8 @@ class FieldElem:
 
     def sqrt(self) -> "FieldElem | None":
         """Exact square root inside the field, or None if there is none."""
-        if self.sign() < 0:
-            return None
-        root = _field_sqrt(self)
-        if root is not None and root.sign() < 0:
-            root = -root
-        return root
+        root = _sqrt_in(self, 2)
+        return -root if root is not None and root.sign() < 0 else root
 
     # -- encoding ---------------------------------------------------------
 
@@ -397,74 +395,33 @@ SQRT6 = FieldElem(0, 0, 0, 1)
 # -- exact square roots ----------------------------------------------------
 
 
-def _rat_sqrt(q):
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    num, den = q.numerator, q.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return _Q(rn, rd)
-    return None
+def _sqrt_in(x: FieldElem, level: int) -> FieldElem | None:
+    """A square root of x in level 0 (Q), 1 (Q(sqrt2)) or 2 (Q(sqrt2, sqrt3))
+    of the tower, for x in that level, or None where there is none.
 
-
-def _sqrt_in_q_sqrt2(m, n):
-    """Square root of m + n*sqrt2 inside Q(sqrt2) as a pair, or None."""
-    if _sign_sqrt2(m, n) < 0:
-        return None
-    if n == 0:
-        r = _rat_sqrt(m)
-        if r is not None:
-            return (r, _Q(0))
-        r = _rat_sqrt(m / 2)
-        if r is not None:
-            return (_Q(0), r)
-        return None
-    # (x + y*sqrt2)^2 = x^2 + 2y^2 + 2xy*sqrt2
-    disc = _rat_sqrt(m * m - 2 * n * n)
+    At level 0 the canonical numerator and denominator are coprime, so both
+    must be squares.  Above it, with r^2 = n the root adjoined at this level,
+    write x = P + Q*r and y = S + T*r with P, Q, S, T one level down: y^2 = x
+    exactly when S^2 + n*T^2 = P and 2*S*T = Q.  So S^2 - n*T^2 is a root of
+    P^2 - n*Q^2 and S^2 = (P +- that root)/2; then T = Q/(2S), or, where
+    S = 0 (and so Q = 0), a root of P/n.
+    """
+    a, b, c, d, den = x._a, x._b, x._c, x._d, x._den
+    if level == 0:
+        ra, rd = math.isqrt(max(a, 0)), math.isqrt(den)  # a < 0 fails ra * ra == a
+        return _raw(ra, 0, 0, 0, rd) if ra * ra == a and rd * rd == den else None
+    if level == 1:
+        p, q, r, n = _make(a, 0, 0, 0, den), _make(b, 0, 0, 0, den), SQRT2, 2
+    else:
+        p, q, r, n = _make(a, b, 0, 0, den), _make(c, d, 0, 0, den), SQRT3, 3
+    disc = _sqrt_in(p * p - q * q * n, level - 1)
     if disc is None:
         return None
-    for x2 in ((m + disc) / 2, (m - disc) / 2):
-        x = _rat_sqrt(x2)
-        if x is not None and x != 0:
-            y = n / (2 * x)
-            if x * x + 2 * y * y == m:
-                return (x, y)
-    return None
-
-
-def _field_sqrt(x: FieldElem) -> FieldElem | None:
-    # write x = P + Q*sqrt3 with P = (a, b), Q = (c, d) in Q(sqrt2)
-    a, b, c, d = x.a, x.b, x.c, x.d
-    if c == 0 and d == 0:
-        r = _sqrt_in_q_sqrt2(a, b)
-        if r is not None:
-            return FieldElem(r[0], r[1], 0, 0)
-        # maybe sqrt(x) = R*sqrt3, R in Q(sqrt2): 3R^2 = P
-        r = _sqrt_in_q_sqrt2(a / 3, b / 3)
-        if r is not None:
-            return FieldElem(0, 0, r[0], r[1])
-        return None
-    # y = S + T*sqrt3:  S*T = Q/2,  S^2 + 3T^2 = P, so S^2 solves
-    # u^2 - P*u + 3*(Q/2)^2 = 0 over Q(sqrt2)
-    p = (a, b)
-    q = (c, d)
-    p2 = (a * a + 2 * b * b, 2 * a * b)
-    q2 = (c * c + 2 * d * d, 2 * c * d)
-    disc = (p2[0] - 3 * q2[0], p2[1] - 3 * q2[1])
-    s_disc = _sqrt_in_q_sqrt2(*disc)
-    if s_disc is None:
-        return None
-    for branch in (1, -1):
-        u = ((p[0] + branch * s_disc[0]) / 2, (p[1] + branch * s_disc[1]) / 2)
-        s = _sqrt_in_q_sqrt2(*u)
-        if s is None or (s[0] == 0 and s[1] == 0):
+    for u in (p + disc, p - disc):
+        s = _sqrt_in(u / 2, level - 1)
+        if s is None:
             continue
-        # T = Q / (2S) in Q(sqrt2)
-        s_elem = FieldElem(s[0], s[1])
-        q_elem = FieldElem(q[0], q[1])
-        t_elem = q_elem / (s_elem * 2)
-        cand = FieldElem(s[0], s[1], t_elem.a, t_elem.b)
-        if cand * cand == x:
-            return cand
+        t = q / (s * 2) if not s.is_zero() else _sqrt_in(p / n, level - 1)
+        if t is not None:
+            return s + t * r
     return None

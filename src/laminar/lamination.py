@@ -6,7 +6,8 @@ cyclic family of far-side intervals of its bounding chords, together with its
 vertex set.  Gaps whose vertex set is infinite (they still touch the circle
 along whole arcs) are flagged provisional.
 
-The predicates on single intervals and chords are exact and stand alone.  The
+The predicates on single intervals and chords are exact and stand alone; like
+``circular_order``, each converts a point from another chart first.  The
 queries that ask many of them about one chord set (validation, gaps, chains,
 rainbows, separation) go through a ``Truncation``: the chord set with its
 endpoints sorted once by exact key, so that every later comparison is one on
@@ -21,7 +22,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .circle import BoundaryPoint, Chart, circular_order, comparable, require_same_chart
-from .errors import ChartMismatch, InvalidLamination, NotADistinctPair
+from .errors import InvalidLamination, NotADistinctPair
 
 
 class Interval:
@@ -44,7 +45,7 @@ class Interval:
         return circular_order(self.start, p, self.end) == 1
 
     def contains_closed(self, p: BoundaryPoint) -> bool:
-        return p is self.start or p is self.end or self.contains(p)
+        return circular_order(self.start, p, self.end) >= 0
 
     def chord(self) -> "Chord":
         return Chord(self.start, self.end)
@@ -116,19 +117,15 @@ class Chord:
 
 def unlinked(c1: Chord, c2: Chord) -> bool:
     """True iff the chords do not cross; sharing an endpoint counts as unlinked."""
-    if c1.chart != c2.chart:
-        raise ChartMismatch("chords live in different charts")
-    if c1.lo in (c2.lo, c2.hi) or c1.hi in (c2.lo, c2.hi):
-        return True
-    s1 = circular_order(c1.lo, c2.lo, c1.hi)
-    s2 = circular_order(c1.lo, c2.hi, c1.hi)
-    return s1 == s2
+    return circular_order(c1.lo, c2.lo, c1.hi) * circular_order(c1.lo, c2.hi, c1.hi) >= 0
 
 
 def interval_subset(inner: Interval, outer: Interval) -> bool:
     """Exact test for (a,b) being a subset of (c,d) as open circle arcs."""
     a, b = inner.start, inner.end
     c, d = outer.start, outer.end
+    if a.chart != c.chart:
+        a, b = comparable(a, c.chart), comparable(b, c.chart)
     if a == c:
         return b == d or circular_order(c, b, d) == 1
     if b == c:
@@ -483,15 +480,14 @@ class ProbeOutcome:
 
 
 def rainbow_probe(system, p: BoundaryPoint, depth: int) -> ProbeOutcome:
-    """Endpoint membership or the maximal nesting depth around p."""
+    """Endpoint membership or the maximal nesting depth around p, read off
+    p's rank: even on an endpoint, odd in a slot.  A point from another chart
+    is converted as in ``c_p_I``."""
     t = system.truncation(depth) if hasattr(system, "truncation") else truncation_of(system)
-    if t.points:
-        require_same_chart(p, t.points[0])
-    if p in t.rank:
-        return ProbeOutcome(True, None)
     if not t.chords:
         return ProbeOutcome(False, 0)
-    return ProbeOutcome(False, t.nesting(t.ranks(p)[0]))
+    x = t.ranks(p)[0]
+    return ProbeOutcome(False, t.nesting(x)) if x % 2 else ProbeOutcome(True, None)
 
 
 # -- endpoint sets and transversality ------------------------------------------

@@ -94,6 +94,20 @@ def test_sqrt_inside_field():
         x = random_field_elem(rng, span=9, den=4)
         r = (x * x).sqrt()
         assert r is not None and r * r == x * x and r.sign() >= 0
+    # one closed form per step of the tower Q < Q(sqrt2) < Q(sqrt2, sqrt3)
+    assert FieldElem(3, 2).sqrt() == ONE + SQRT2
+    assert FieldElem(7, 0, 4).sqrt() == FieldElem(2, 0, 1)
+    assert FieldElem(5, 0, 0, 2).sqrt() == SQRT2 + SQRT3
+    assert FieldElem(2, 0, 1).sqrt() == (SQRT2 + SQRT6) / 2
+    assert FieldElem((3, 2)).sqrt() == SQRT6 / 2  # the branch S = 0: sqrt(3/2) = sqrt3 * sqrt(1/2)
+    # 1 + sqrt2 > 0 has no root: its conjugate 1 - sqrt2 is negative
+    non_squares = [ONE + SQRT2, FieldElem(2, 1), FieldElem(5), FieldElem(7), FieldElem(-1)]
+    for x in non_squares:
+        assert x.sqrt() is None
+        for _ in range(20):
+            y = random_field_elem(rng, span=9, den=4)
+            if not y.is_zero():
+                assert (x * y * y).sqrt() is None
 
 
 def test_encoding_round_trip():

@@ -7,7 +7,7 @@ import pytest
 
 from laminar.checks import refined_gap
 from laminar.circle import BoundaryPoint, Chart, chart_convert
-from laminar.constructions import farey_tessellation, half_farey_system
+from laminar.constructions import farey_system, farey_tessellation, half_farey_system
 from laminar.errors import ChartMismatch, IncomparableCharts, InvalidLamination, NotADistinctPair
 from laminar.field import FieldElem
 from laminar.lamination import (
@@ -604,6 +604,53 @@ def test_c_p_I_raises_on_an_outer_with_no_image_in_the_chords_chart():
     with pytest.raises(IncomparableCharts):
         c_p_I(shared_ends, fr(7, 3), Interval(_ang(1), _ang(2)))  # nor has this p an image
     assert c_p_I([], fr(7, 3), Interval(_ang(1), _ang(2))) == []  # no chords, nothing to compare
+
+
+def test_arc_predicates_across_charts_against_rational_angle_model():
+    """Every arc predicate converts a point from another chart as
+    ``circular_order`` does: on intervals between the 24 shared points
+    theta k/24 <-> r:-cot(pi k/24), each query is asked with ``outer`` in r
+    and the rest in theta, then the other way round, against the one-chart
+    rational-angle model.  Five points per query make shared ends common."""
+    rng, grid, mismatches, shared = random.Random(23), 24, [], 0
+    for _ in range(1500):
+        ks = [Fraction(k, grid) for k in rng.sample(range(grid), 5)]
+        a, b, c, d, p = (rng.choice(ks) for _ in range(5))
+        if a == b or c == d:
+            continue
+        shared += len({a, b} & {c, d}) > 0
+        want = {
+            "subset": o_subset(a, b, c, d, grid),
+            "lies_on": o_subset(a, b, c, d, grid) or o_subset(b, a, c, d, grid),
+            "properly": o_in(a, c, d) and o_in(b, c, d),
+            "closed": p in (c, d) or o_in(p, c, d),
+            "unlinked": o_unlinked(a, b, c, d),
+        }
+        for inner_chart, outer_chart in ((Chart.DISK_ANGLE, Chart.EXT_REAL), (Chart.EXT_REAL, Chart.DISK_ANGLE)):
+            A, B, P = (chart_convert(_ang(x.numerator, x.denominator), inner_chart) for x in (a, b, p))
+            C, D = (chart_convert(_ang(x.numerator, x.denominator), outer_chart) for x in (c, d))
+            inner, outer = Interval(A, B), Interval(C, D)
+            got = {
+                "subset": interval_subset(inner, outer),
+                "lies_on": lies_on(inner.chord(), outer),
+                "properly": properly_lies_on(inner.chord(), outer),
+                "closed": outer.contains_closed(P),
+                "unlinked": unlinked(inner.chord(), outer.chord()),
+            }
+            mismatches += [(name, inner, outer, P) for name in want if got[name] != want[name]]
+    assert mismatches == []
+    assert shared > 500, shared
+
+
+def test_rainbow_probe_converts_a_point_from_another_chart():
+    farey = farey_system()
+    for k in range(24):
+        p = _ang(k)
+        assert rainbow_probe(farey, p, 3) == rainbow_probe(farey, chart_convert(p, Chart.EXT_REAL), 3), p
+    assert repr(rainbow_probe(farey, _ang(3), 3)) == "NestedDepth(6)"  # theta 1/8 is r:-1-sqrt2
+    assert rainbow_probe(farey, _ang(6), 3).endpoint  # theta 1/4 is r:-1
+    with pytest.raises(IncomparableCharts):
+        rainbow_probe(farey, _ang(1, 7), 3)
 
 
 def _old_violations(chords):
