@@ -35,6 +35,11 @@ JSON is sorted, so it cannot show chord order: for each of those systems and
 for half_farey and square it records the sha256 of the encoded
 ``system.chords(d)`` tuples for d = 1-6, in order.  The laminar under
 ``ROOT/src`` is imported (default: the checkout holding this script).
+For ``check``, ``render`` and ``dynamics`` it records the exit code and the
+stderr on four unreadable inputs: a missing file, a directory, invalid JSON and
+a document whose chord has the non-canonical point r:2/4 and whose generator
+the non-canonical entry 2/4 (``errors`` keys), with the temporary directory
+written as ``<tmp>``.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
 """
 
@@ -81,6 +86,20 @@ CUSP_RADII = (("hecke_sqrt2", 10), ("hecke_sqrt3", 10), ("mixed_sqrt2_sqrt3", 6)
 TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
 RESCALED_GROUPS = ("hyp_rational", "hyp_sqrt3")  # triples at horizon 1000
 FIXED_GROUPS, FIXED_RADIUS = ("hecke_sqrt2", "hecke_sqrt3", "mixed_sqrt2_sqrt3"), 6
+BAD_INPUTS = {  # name -> file content, or None for no file
+    "missing": None,
+    "directory": "",
+    "invalid-json": "{",
+    "non-canonical": json.dumps(
+        {
+            "chart": "ext_real",
+            "depth": 1,
+            "chords": [["r:0/1,0/1,0/1,0/1", "r:2/4,0/1,0/1,0/1"]],
+            "generators": [{"matrix": ["2/4,0/1,0/1,0/1", _ZERO, _ZERO, _ONE]}],
+        }
+    ),
+}
+ERROR_ARGV = {"check": ["check"], "render": ["render"], "dynamics": ["dynamics", "--test", "cusps", "--group"]}
 
 
 def _build_argv(kind: str, depth: int, out: str) -> list:
@@ -110,6 +129,26 @@ def _dynamics(main, tmp: str, group: str, test: list) -> str:
     out = os.path.join(tmp, "dynamics.json")
     assert main(["dynamics", "--group", path, *test, "--out", out]) == 0, (group, test)
     return _sha(out)
+
+
+def _errors(main, tmp: str) -> dict:
+    """{command: {input: [exit code, stderr]}} on each of BAD_INPUTS."""
+    paths = {}
+    for name, content in BAD_INPUTS.items():
+        paths[name] = path = os.path.join(tmp, f"bad-{name}.json")
+        if content == "":
+            os.mkdir(path)
+        elif content is not None:
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(content)
+    out = {}
+    for command, argv in ERROR_ARGV.items():
+        for name, path in paths.items():
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, path])
+            out.setdefault(command, {})[name] = [code, err.getvalue().replace(tmp, "<tmp>")]
+    return out
 
 
 def _fixed(group: str) -> str:
@@ -229,6 +268,8 @@ def collect(root: str) -> dict:
         for group in RESCALED_GROUPS:
             test = ["--test", "triples", "--horizon", "1000", "--seed", "0"]
             out[f"triples:{group}:1000"] = _dynamics(main, tmp, group, test)
+        for command, answers in _errors(main, tmp).items():
+            out[f"errors:{command}"] = answers
     return out
 
 

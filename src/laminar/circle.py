@@ -269,3 +269,10 @@ def require_same_chart(*points: BoundaryPoint) -> Chart:
         if p.chart != chart:
             raise ChartMismatch(f"mixed charts {chart.value} and {p.chart.value}")
     return chart
+
+
+def require_one_chart(items, error=ChartMismatch) -> None:
+    """``error`` unless the items (points, chords, parsed systems) all lie in one chart."""
+    charts = {x.chart for x in items}
+    if len(charts) > 1:
+        raise error(f"mixed charts {' and '.join(sorted(c.value for c in charts))}")

@@ -17,7 +17,7 @@ from .constructions import (
     elementary_col3,
 )
 from .dynamics import angel_wings, cusp_points, triple_escape_sampler
-from .errors import LaminarError, ParseError
+from .errors import LaminarError
 from .jsonio import (
     atomic_write_text,
     collection_doc,
@@ -57,12 +57,7 @@ def _cmd_check(args) -> int:
     worst = 0
     reports = []
     for path in args.files:
-        try:
-            parsed = load(path)
-        except (OSError, ParseError) as exc:
-            print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-            return 2
-        result = run_suites(parsed, suites, radius=args.radius)
+        result = run_suites(load(path), suites, radius=args.radius)
         for entry in result.entries:
             print(f"{path}: {entry.line()}")
         reports.append({"file": path, **result.to_json()})
@@ -76,11 +71,7 @@ def _cmd_render(args) -> int:
     layers = []
     cusps = []
     for path in args.files:
-        try:
-            parsed = load(path)
-        except (OSError, ParseError) as exc:
-            print(f"error: cannot parse {path}: {exc}", file=sys.stderr)
-            return 2
+        parsed = load(path)
         if hasattr(parsed, "systems"):
             layers.extend(s.chords for s in parsed.systems)
             cusps.extend(parsed.cusps)
@@ -96,11 +87,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    try:
-        generators = load_group(args.group)
-    except (OSError, ParseError) as exc:
-        print(f"error: cannot parse {args.group}: {exc}", file=sys.stderr)
-        return 2
+    generators = load_group(args.group)
     if args.test == "cusps":
         pts = cusp_points(generators, args.radius)
         doc = {"test": "cusps", "radius": args.radius, "cusps": [p.encode() for p in pts]}
@@ -229,7 +216,7 @@ def main(argv=None) -> int:
     except LaminarError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # each command reports its own read errors, so this is a write
+    except OSError as exc:  # reads raise ParseError, so this is a write
         print(f"error: cannot write {args.out or 'stdout'}: {exc.strerror or exc}", file=sys.stderr)
         return 2
 

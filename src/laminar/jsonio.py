@@ -11,7 +11,7 @@ import json
 import os
 import tempfile
 
-from .circle import BoundaryPoint, Chart
+from .circle import BoundaryPoint, Chart, require_one_chart
 from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS
 from .errors import LaminarError, ParseError
 from .lamination import Chord, Col3Collection, LaminationSystem
@@ -127,6 +127,7 @@ class ParsedCollection:
         points = {}  # one parse per distinct point string in the document
         self.cusps = [_point(points, s) for s in doc.get("cusps", [])]
         self.systems = [ParsedLamination(s, points) for s in doc["systems"]]
+        require_one_chart([*self.systems, *self.cusps], ParseError)
         self.builder = _builder(doc)
 
 
@@ -165,25 +166,26 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 # what malformed content raises while being decoded and parsed
-_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError, ZeroDivisionError, LaminarError)
+_MALFORMED = (ValueError, KeyError, TypeError, AttributeError, IndexError, ZeroDivisionError, RecursionError, LaminarError)
 
 
 def _read(path: str, parse):
-    """``parse`` of the JSON file at ``path``; malformed content raises ParseError."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
+    """``parse`` of the JSON file at ``path``; an unreadable file or malformed
+    content raises ParseError("cannot parse <path>: <reason>")."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
             return parse(json.load(f))
-        except ParseError:
-            raise
-        except _MALFORMED as exc:
-            raise ParseError(f"{type(exc).__name__}: {exc}") from exc
+    except (OSError, ParseError) as exc:
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise ParseError(f"cannot parse {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def load(path: str):
-    """A ParsedLamination or ParsedCollection; OSError or ParseError if not."""
+    """A ParsedLamination or ParsedCollection; ParseError if not."""
     return _read(path, parse_doc)
 
 
 def load_group(path: str) -> list:
-    """The generators of a group file; OSError or ParseError if not."""
+    """The generators of a group file; ParseError if not."""
     return _read(path, parse_group)

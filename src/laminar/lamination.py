@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .circle import BoundaryPoint, Chart, circular_order, comparable, require_same_chart
+from .circle import BoundaryPoint, Chart, circular_order, comparable, require_one_chart, require_same_chart
 from .errors import InvalidLamination, NotADistinctPair
 
 
@@ -502,12 +502,16 @@ def endpoints_set(chords) -> set:
 
 
 def transverse(chords1, chords2) -> bool:
-    """No common leaf (interval sets intersect iff a chord is shared)."""
-    return set(chords1).isdisjoint(set(chords2))
+    """No common leaf (interval sets intersect iff a chord is shared); ChartMismatch across charts."""
+    chords1, chords2 = set(chords1), set(chords2)
+    require_one_chart([*chords1, *chords2])
+    return chords1.isdisjoint(chords2)
 
 
 def strongly_transverse(chords1, chords2) -> tuple[bool, set]:
-    common = endpoints_set(chords1) & endpoints_set(chords2)
+    ends1, ends2 = endpoints_set(chords1), endpoints_set(chords2)
+    require_one_chart([*ends1, *ends2])
+    common = ends1 & ends2
     return (not common, common)
 
 
@@ -530,9 +534,14 @@ def separate_distinct_pair(chords, first: Interval, second: Interval):
     truncation's endpoint set; for each witness p the chain maximum of
     C_p^{I*} ∩ C_p^{J*}, one walk in the nesting forest (``Truncation.chain``),
     names the gap, which is then verified to contain both intervals inside
-    members, found with the exact ``interval_subset``.
+    members, found with the exact ``interval_subset``.  A side from another
+    chart is converted as in ``c_p_I``.
     """
     t = truncation_of(chords)
+    if first.start.chart != t.chart and t.chords:
+        first = Interval(comparable(first.start, t.chart), comparable(first.end, t.chart))
+    if second.start.chart != t.chart and t.chords:
+        second = Interval(comparable(second.start, t.chart), comparable(second.end, t.chart))
     if first.chord() not in t.node_of or second.chord() not in t.node_of:
         raise NotADistinctPair("intervals are not sides of the truncation")
     if second == first.dual or second == first:

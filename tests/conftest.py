@@ -31,7 +31,7 @@ def chord_er(a, b):
 
 def gap_refines(fine, coarse) -> bool:
     """Whether the fine gap's region sits inside the coarse gap's region: the
-    oracle that ``checks.refined_gap`` is tested against."""
+    oracle for the refinement that ``checks.check_coherence`` relies on."""
     return all(any(interval_subset(u, w) for w in fine.intervals) for u in coarse.intervals)
 
 

@@ -441,6 +441,7 @@ def _assert_one_error_line(capsys, path):
         '"builder": {"kind": 5}}',
         '{"kind": "dihedral", "depth": 1, "systems": [], "group": [{"action": "exp_affine", "flip": "false", '
         '"tau": "0/1,0/1,0/1,0/1"}], "generators": [{"action": "exp_affine", "flip": 0, "tau": "0/1,0/1,0/1,0/1"}]}',
+        "[" * 100_000 + "]" * 100_000,
     ],
     ids=[
         "zero-denominator",
@@ -468,6 +469,7 @@ def _assert_one_error_line(capsys, path):
         "chord-repeated",
         "builder-kind-not-a-string",
         "flip-not-a-bool",
+        "nested-too-deep",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):
@@ -476,3 +478,30 @@ def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, cont
     for argv in (["check", str(bad)], ["render", str(bad)], ["dynamics", "--group", str(bad), "--test", "cusps"]):
         assert run(argv) == 2, argv
         _assert_one_error_line(capsys, bad)
+
+
+_THETA_LEAF = ["θ:0/1,0/1,0/1,0/1", "θ:1/2,0/1,0/1,0/1"]
+_R_LEAF = ["r:0/1,0/1,0/1,0/1", "r:inf"]  # the same leaf in r
+
+
+@pytest.mark.parametrize(
+    "systems, cusps",
+    [
+        ([("a", "disk_angle", _THETA_LEAF), ("b", "ext_real", _R_LEAF)], []),
+        ([("a", "ext_real", _R_LEAF)], ["θ:0/1,0/1,0/1,0/1"]),
+    ],
+    ids=["systems", "cusps"],
+)
+def test_a_collection_mixing_charts_exits_two_with_one_error_line(tmp_path, capsys, systems, cusps):
+    doc = {
+        "kind": "custom",
+        "depth": 1,
+        "cusps": cusps,
+        "systems": [{"name": n, "chart": c, "depth": 1, "chords": [leaf]} for n, c, leaf in systems],
+    }
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check", str(path)], ["render", str(path)]):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: cannot parse {path}: mixed charts disk_angle and ext_real\n"

@@ -5,16 +5,18 @@ import copy
 import io
 import json
 import os
+import re
 import tempfile
 import traceback
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from laminar.cli import main
 from laminar.constructions import ELEMENTARY_KINDS, elementary_col3, farey_system
 from laminar.errors import ParseError
-from laminar.jsonio import chords_from_json, chords_to_json, collection_doc, load, parse_doc, system_doc
+from laminar.jsonio import chords_from_json, chords_to_json, collection_doc, load, load_group, parse_doc, system_doc
 
 
 def test_each_distinct_point_string_is_one_shared_point():
@@ -216,3 +218,10 @@ def test_mutated_documents_keep_the_exit_code_contract(doc):
             laminations = zip(parsed.systems, doc["systems"]) if hasattr(parsed, "systems") else [(parsed, doc)]
             for lamination, source in laminations:
                 assert chords_to_json(lamination.chords) == source["chords"]
+
+
+def test_an_unreadable_file_is_a_parse_error_naming_it(tmp_path):
+    for path in (str(tmp_path / "missing.json"), str(tmp_path)):
+        for read in (load, load_group):
+            with pytest.raises(ParseError, match=f"^cannot parse {re.escape(path)}: "):
+                read(path)

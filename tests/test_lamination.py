@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from laminar.checks import refined_gap
+from laminar.checks import CheckSuiteResult, check_coherence
 from laminar.circle import BoundaryPoint, Chart, chart_convert
 from laminar.constructions import farey_system, farey_tessellation, half_farey_system
 from laminar.errors import ChartMismatch, IncomparableCharts, InvalidLamination, NotADistinctPair
@@ -13,6 +13,7 @@ from laminar.field import FieldElem
 from laminar.lamination import (
     Chord,
     Interval,
+    LaminationSystem,
     Truncation,
     c_p_I,
     chords_to_intervals,
@@ -377,6 +378,23 @@ def test_separation_errors_and_not_separated():
     bare = [chord_er(0, 1), chord_er(2, 3)]
     out = separate_distinct_pair(bare, Interval(fr(0), fr(1)), Interval(fr(2), fr(3)))
     assert out is None  # no witness at this depth
+
+
+def test_separation_converts_sides_from_another_chart():
+    chords = farey_system().chords(2)  # in r; theta 0, 1/4, 1/2 are r:inf, r:-1, r:0
+    want = separate_distinct_pair(chords, Interval(INF, fr(-1)), Interval(fr(-1), fr(0)))
+    got = separate_distinct_pair(chords, Interval(_ang(0), _ang(6)), Interval(_ang(6), _ang(12)))
+    assert got == want and got.witness is fr(1)
+    with pytest.raises(NotADistinctPair):  # converted, they are a leaf's two sides
+        separate_distinct_pair(chords, Interval(_ang(0), _ang(6)), Interval(fr(-1), INF))
+
+
+def test_transversality_refuses_chord_sets_in_two_charts():
+    theta, r = Chord(_ang(0), _ang(12)), chord_er(0, "inf")  # one leaf, given in two charts
+    for pair in (([theta], [r]), ([theta, r], [r])):
+        for fn in (transverse, strongly_transverse):
+            with pytest.raises(ChartMismatch, match="mixed charts disk_angle and ext_real"):
+                fn(*pair)
 
 
 def test_transversality_helpers():
@@ -786,33 +804,50 @@ def _exhaustive_refined(fine, g, coarse):
     return [c for c in coarse.gaps() if gap_refines(fine.gaps()[g], c)]
 
 
-def test_coherence_candidate_agrees_with_exhaustive_scan():
+def test_every_gap_refines_a_gap_of_any_subset_of_its_chords():
+    # the property check_coherence rests on: a valid truncation's gaps each
+    # lie inside some gap of any nonempty subset of its chords
     rng = random.Random(5)
     for _ in range(40):
         chords = _random_truncation(rng)
         fine = Truncation(chords)
         coarse = Truncation(rng.sample(chords, rng.randint(1, len(chords))))
         for g in range(len(fine.gaps())):
-            got = refined_gap(fine, g, coarse)
-            assert got is not None and got in _exhaustive_refined(fine, g, coarse)
+            assert _exhaustive_refined(fine, g, coarse), (chords, g)
 
 
-def test_coherence_candidate_is_none_on_pairs_that_do_not_refine():
+def _flipped_half_farey():
+    """Half-Farey depth 2 with the diagonal {0, 1} of the square 0, 1/2, 1,
+    inf flipped to {1/2, inf}: valid, but not a subset of depth 3."""
     hf = half_farey_system()
-    # half-Farey depth 2 with the diagonal {0, 1} of the square 0, 1/2, 1, inf
-    # flipped to {1/2, inf}: the depth-3 gaps do not all refine its gaps
-    flipped = [c for c in hf.chords(2) if c != chord_er(0, 1)] + [chord_er((1, 2), "inf")]
+    return [c for c in hf.chords(2) if c != chord_er(0, 1)] + [chord_er((1, 2), "inf")], hf
+
+
+def test_a_pair_that_is_not_monotone_can_fail_to_refine():
+    flipped, hf = _flipped_half_farey()
     coarse, fine = Truncation(flipped), hf.truncation(3)
-    assert coarse.ok
-    misses = 0
-    for g in range(len(fine.gaps())):
-        got, want = refined_gap(fine, g, coarse), _exhaustive_refined(fine, g, coarse)
-        if want:
-            assert got is None or got in want
-        else:
-            assert got is None
-            misses += 1
-    assert misses > 0
+    assert coarse.ok and not all(ch in fine.node_of for ch in flipped)
+    assert any(not _exhaustive_refined(fine, g, coarse) for g in range(len(fine.gaps())))
+
+
+def _coherence(builder):
+    result = CheckSuiteResult()
+    check_coherence(result, "s", LaminationSystem("s", Chart.EXT_REAL, builder), (1, 2, 3))
+    (entry,) = result.entries
+    return entry.status, entry.details
+
+
+def test_check_coherence_on_systems():
+    flipped, hf = _flipped_half_farey()
+    assert _coherence(hf.chords) == ("pass", {"depths": [1, 2, 3]})
+    assert _coherence(lambda d: flipped if d == 2 else hf.chords(d)) == (
+        "fail",
+        {"depths": [1, 2], "reason": "not monotone"},
+    )
+    # depth 3 adds a chord crossing {0, 1}: depths 1 and 2 pass, the pair (2, 3) fails on validity
+    crossing = [*hf.chords(3), chord_er((1, 2), 2)]
+    want = InvalidLamination(validate_truncation(Truncation(crossing).chords).describe())
+    assert _coherence(lambda d: crossing if d == 3 else hf.chords(d)) == ("fail", {"error": repr(want)})
 
 
 def test_chords_are_unordered_pairs_and_reject_bad_endpoints():
