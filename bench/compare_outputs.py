@@ -36,10 +36,14 @@ for half_farey and square it records the sha256 of the encoded
 ``system.chords(d)`` tuples for d = 1-6, in order.  The laminar under
 ``ROOT/src`` is imported (default: the checkout holding this script).
 For ``check``, ``render`` and ``dynamics`` it records the exit code and the
-stderr on four unreadable inputs: a missing file, a directory, invalid JSON and
-a document whose chord has the non-canonical point r:2/4 and whose generator
-the non-canonical entry 2/4 (``errors`` keys), with the temporary directory
-written as ``<tmp>``.
+stderr on seven unreadable inputs, with the temporary directory written as
+``<tmp>``: a missing file, a directory, invalid JSON and a document whose chord
+has the non-canonical point r:2/4 and whose generator the non-canonical entry
+2/4, which share one ``errors:<command>`` key; and, each under its own
+``errors:<command>:<input>`` key, spellings that Python's ``int()`` reads but
+``encode()`` never writes (the point r:1_0/3,0/1,0/1,0/1 in a chord, the
+generator entry " 1/2,0/1,0/1,0/1") and a chord written as a JSON object of
+its two point strings.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
 """
 
@@ -98,7 +102,15 @@ BAD_INPUTS = {  # name -> file content, or None for no file
             "generators": [{"matrix": ["2/4,0/1,0/1,0/1", _ZERO, _ZERO, _ONE]}],
         }
     ),
+    "underscore-point": json.dumps(
+        {"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:1_0/3,0/1,0/1,0/1"]]}
+    ),
+    "spaced-generator": json.dumps({"generators": [{"matrix": [" 1/2,0/1,0/1,0/1", _ZERO, _ZERO, _ONE]}]}),
+    "chord-as-object": json.dumps(
+        {"chart": "ext_real", "depth": 1, "chords": [{"r:0/1,0/1,0/1,0/1": 1, "r:1/1,0/1,0/1,0/1": 2}]}
+    ),
 }
+GROUPED_INPUTS = ("missing", "directory", "invalid-json", "non-canonical")  # one errors:<command> key
 ERROR_ARGV = {"check": ["check"], "render": ["render"], "dynamics": ["dynamics", "--test", "cusps", "--group"]}
 
 
@@ -269,7 +281,9 @@ def collect(root: str) -> dict:
             test = ["--test", "triples", "--horizon", "1000", "--seed", "0"]
             out[f"triples:{group}:1000"] = _dynamics(main, tmp, group, test)
         for command, answers in _errors(main, tmp).items():
-            out[f"errors:{command}"] = answers
+            out[f"errors:{command}"] = {name: answers.pop(name) for name in GROUPED_INPUTS}
+            for name, answer in answers.items():
+                out[f"errors:{command}:{name}"] = answer
     return out
 
 

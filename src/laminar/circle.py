@@ -45,7 +45,7 @@ class BoundaryPoint:
     identity and hashing is the object's own.  ``FieldElem`` is canonical,
     which makes its numerators a complete key for ``x``.  Being immutable, a
     point also keeps its order key, its encoding and its float embedding once
-    computed.
+    computed; a parsed point keeps the string it was read from.
     """
 
     __slots__ = ("chart", "kind", "x", "ray", "_key", "_enc", "_z")
@@ -140,24 +140,33 @@ class BoundaryPoint:
 
     @staticmethod
     def parse(s: str) -> "BoundaryPoint":
+        """The point whose encoding is ``s``.  Only that one spelling parses,
+        so the point keeps ``s`` as its encoding."""
         tag, _, body = s.partition(":")
         if tag == "r":
-            return BoundaryPoint.ext_inf() if body == "inf" else BoundaryPoint.ext_real(FieldElem.parse(body))
-        if tag == "θ":
+            if body == "inf":
+                p = BoundaryPoint.ext_inf()
+            else:
+                p = BoundaryPoint(Chart.EXT_REAL, _REGULAR, FieldElem.parse(body), 0)
+        elif tag == "θ":
             t = FieldElem.parse(body)
             if t.floor() != 0:
                 raise ValueError(f"angle {s!r} is not in [0, 1)")
-            return BoundaryPoint(Chart.DISK_ANGLE, _REGULAR, t, 0)
-        if tag == "e":
+            p = BoundaryPoint(Chart.DISK_ANGLE, _REGULAR, t, 0)
+        elif tag == "e":
             if body == "0":
-                return BoundaryPoint.exp_zero()
-            if body == "inf":
-                return BoundaryPoint.exp_inf()
-            sign, _, rest = body.partition(",")
-            if sign not in ("+", "-"):
-                raise ValueError(f"bad ray sign in {s!r}")
-            return BoundaryPoint.signed_exp(1 if sign == "+" else -1, FieldElem.parse(rest))
-        raise ValueError(f"bad point encoding: {s!r}")
+                p = BoundaryPoint.exp_zero()
+            elif body == "inf":
+                p = BoundaryPoint.exp_inf()
+            else:
+                sign, _, rest = body.partition(",")
+                if sign not in ("+", "-"):
+                    raise ValueError(f"bad ray sign in {s!r}")
+                p = BoundaryPoint(Chart.SIGNED_EXP, _REGULAR, FieldElem.parse(rest), 1 if sign == "+" else -1)
+        else:
+            raise ValueError(f"bad point encoding: {s!r}")
+        p._enc = s
+        return p
 
     def __repr__(self) -> str:
         return f"<{self.encode()}>"

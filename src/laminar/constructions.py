@@ -352,6 +352,12 @@ def _dihedral_system(name, shift, generators) -> LaminationSystem:
     )
 
 
+def require_cyclic_order(n: int | None) -> None:
+    """The order of a finite_cyclic collection is an integer n >= 2."""
+    if n is None or n < 2:
+        raise UnsupportedKind(f"finite_cyclic requires order n >= 2, not {n!r}")
+
+
 def elementary_col3(kind: str, n: int | None = None) -> Col3Collection:
     """The elementary invariant triples: trivial, finite_cyclic(n), parabolic,
     hyperbolic (unit translation length) and dihedral."""
@@ -359,8 +365,7 @@ def elementary_col3(kind: str, n: int | None = None) -> Col3Collection:
         systems = tuple(_trivial_system(nm, sh) for nm, sh in _SHIFTS)
         return Col3Collection(kind, systems, (), (), {})
     if kind == "finite_cyclic":
-        if n is None or n < 2:
-            raise UnsupportedKind("finite_cyclic requires order n >= 2")
+        require_cyclic_order(n)
         gen = AngleShift(FieldElem((1, n)))
         systems = tuple(_finite_cyclic_system(nm, sh, n) for nm, sh in _SHIFTS)
         return Col3Collection(kind, systems, (gen,), (), {"n": n})

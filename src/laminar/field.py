@@ -18,6 +18,7 @@ and the hash of a rational element.
 from __future__ import annotations
 
 import math
+import re
 
 from fractions import Fraction as _Q
 
@@ -354,21 +355,21 @@ class FieldElem:
 
     @classmethod
     def parse(cls, s: str) -> "FieldElem":
-        """Inverse of ``encode``; any other spelling of a value is rejected."""
-        parts = s.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"bad field element encoding: {s!r}")
-        nums, dens = [], []
-        for part in parts:
-            n, _, d = part.partition("/")
-            n, d = int(n), int(d)
-            if d <= 0 or _gcd(n, d) != 1 or f"{n}/{d}" != part:
-                raise ValueError(f"{part!r} is not a fraction in lowest terms in {s!r}")
-            nums.append(n)
-            dens.append(d)
-        # per-coefficient lowest terms over their lcm is already canonical
-        den = math.lcm(*dens)
-        return _raw(*(n * (den // d) for n, d in zip(nums, dens)), den)
+        """Inverse of ``encode``; any other spelling of a value is rejected.
+
+        One pattern match admits exactly the shape ``encode`` writes: four
+        comma-separated fractions of ASCII digits, a zero numerator unsigned
+        and alone, no leading zeros, a positive denominator.  The gcd tests
+        then admit lowest terms only, which puts zero at "0/1".
+        """
+        m = _ENCODING.fullmatch(s)
+        if m is not None:
+            a, p, b, q, c, r, d, t = map(int, m.groups())
+            if _gcd(a, p) == 1 and _gcd(b, q) == 1 and _gcd(c, r) == 1 and _gcd(d, t) == 1:
+                # per-coefficient lowest terms over their lcm is already canonical
+                den = math.lcm(p, q, r, t)
+                return _raw(a * (den // p), b * (den // q), c * (den // r), d * (den // t), den)
+        raise ValueError(_misspelling(s))
 
     def __repr__(self) -> str:
         terms = []
@@ -376,6 +377,23 @@ class FieldElem:
             if coef != 0:
                 terms.append(f"{coef}{sym}" if sym else f"{coef}")
         return "FieldElem(0)" if not terms else "FieldElem(" + " + ".join(terms) + ")"
+
+
+_FRACTION = "(0|-?[1-9][0-9]*)/([1-9][0-9]*)"
+_ENCODING = re.compile(",".join([_FRACTION] * 4))
+_FRACTION_RE = re.compile(_FRACTION)
+
+
+def _misspelling(s: str) -> str:
+    """Why ``FieldElem.parse`` refuses ``s``: its first part that is not a
+    fraction in lowest terms, or the count of its parts."""
+    parts = s.split(",")
+    if len(parts) == 4:
+        for part in parts:
+            m = _FRACTION_RE.fullmatch(part)
+            if m is None or _gcd(int(m[1]), int(m[2])) != 1:
+                return f"{part!r} is not a fraction in lowest terms in {s!r}"
+    return f"bad field element encoding: {s!r}"
 
 
 def as_field(x) -> FieldElem:

@@ -12,8 +12,8 @@ import os
 import tempfile
 
 from .circle import BoundaryPoint, Chart, require_one_chart
-from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS
-from .errors import LaminarError, ParseError
+from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, require_cyclic_order
+from .errors import LaminarError, ParseError, UnsupportedKind
 from .lamination import Chord, Col3Collection, LaminationSystem
 from .mobius import map_from_json
 
@@ -32,15 +32,19 @@ def _point(points: dict, s) -> BoundaryPoint:
 def chords_from_json(data, points: dict | None = None) -> list:
     """The chords of a list in the canonical form ``chords_to_json`` writes.
 
-    Each pair must be in ascending string order and the list strictly
-    ascending.  ``points`` maps each point string to its parsed point, so a
-    string repeated across chords is parsed once and is one shared object.
+    Each chord must be a list of two point strings in ascending order and the
+    list strictly ascending.  ``points`` maps each point string to its parsed
+    point, so a string repeated across chords is parsed once and is one
+    shared object.
     """
     if points is None:
         points = {}
     chords = []
     prev = None
-    for a, b in data:
+    for pair in data:
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not str:
+            raise ParseError(f"a chord must be a list of two point strings, not {pair!r}")
+        a, b = pair
         if not a < b or (prev is not None and not prev < (a, b)):
             raise ParseError(f"chord list is not in canonical order at {[a, b]!r}")
         prev = (a, b)
@@ -74,8 +78,17 @@ def collection_doc(col: Col3Collection, depth: int) -> dict:
     }
 
 
+def _list(doc, key: str, default=None) -> list:
+    """``doc[key]``, or ``default`` where the key is absent and a default is
+    given; ParseError unless it is a JSON list."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if type(value) is not list:
+        raise ParseError(f"{key} must be a list, not {value!r}")
+    return value
+
+
 def parse_group(doc) -> list:
-    return [map_from_json(g) for g in doc["generators"]]
+    return [map_from_json(g) for g in _list(doc, "generators")]
 
 
 def _depth(doc) -> int:
@@ -111,7 +124,7 @@ class ParsedLamination:
     def __init__(self, doc, points: dict | None = None):
         self.chart = Chart(doc["chart"])
         self.depth = _depth(doc)
-        self.chords = chords_from_json(doc["chords"], points)
+        self.chords = chords_from_json(_list(doc, "chords"), points)
         stray = next((ch for ch in self.chords if ch.chart != self.chart), None)
         if stray is not None:
             raise ParseError(f"chord {stray!r} is not in the document's chart {self.chart.value}")
@@ -123,10 +136,10 @@ class ParsedCollection:
     def __init__(self, doc):
         self.kind = doc["kind"]
         self.depth = _depth(doc)
-        self.generators = parse_group({"generators": doc.get("group", [])})
+        self.generators = [map_from_json(g) for g in _list(doc, "group", [])]
         points = {}  # one parse per distinct point string in the document
-        self.cusps = [_point(points, s) for s in doc.get("cusps", [])]
-        self.systems = [ParsedLamination(s, points) for s in doc["systems"]]
+        self.cusps = [_point(points, s) for s in _list(doc, "cusps", [])]
+        self.systems = [ParsedLamination(s, points) for s in _list(doc, "systems")]
         require_one_chart([*self.systems, *self.cusps], ParseError)
         self.builder = _builder(doc)
 
@@ -134,8 +147,9 @@ class ParsedCollection:
 def parse_doc(doc):
     """A parsed top-level document, whose builder, if it names a known
     construction, must build what the document holds: a collection for a
-    collection, a single system for a lamination.  Systems nested in a
-    collection carry the collection's builder and are not checked."""
+    collection, a single system for a lamination, and for finite_cyclic an
+    order n >= 2.  Systems nested in a collection carry the collection's
+    builder and are not checked."""
     if "systems" in doc:
         parsed, shape, misfits = ParsedCollection(doc), "collection", SYSTEM_BUILDERS
     elif "chords" in doc:
@@ -145,6 +159,11 @@ def parse_doc(doc):
     kind = builder_kind(parsed.builder)
     if kind in misfits:
         raise ParseError(f"builder {kind!r} does not build a {shape}")
+    if kind == "finite_cyclic":
+        try:
+            require_cyclic_order(parsed.builder.get("n"))
+        except UnsupportedKind as e:
+            raise ParseError(str(e)) from None
     return parsed
 
 

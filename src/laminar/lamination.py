@@ -72,7 +72,7 @@ class Chord:
 
     def __init__(self, u: BoundaryPoint, v: BoundaryPoint):
         require_same_chart(u, v)
-        if u == v:
+        if u is v:  # one object per point
             raise ValueError("degenerate chord")
         if v.linear_key() < u.linear_key():
             u, v = v, u

@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from laminar.circle import BoundaryPoint, Chart, chart_convert, circular_order
+from laminar.constructions import elementary_col3
 from laminar.errors import ChartMismatch, IncomparableCharts, InexactConversion
 from laminar.field import SQRT2, SQRT3, FieldElem
+from laminar.jsonio import collection_doc
 from laminar.mobius import AngleShift, ExpAffine, MobiusMap
 
 from conftest import INF, fr, random_field_elem
@@ -321,6 +323,27 @@ def test_cached_encoding_and_embedding_equal_fresh_ones(collections, standalone_
         assert BoundaryPoint.parse(text) is p
         fresh = p._embed()
         assert struct.pack("<dd", z.real, z.imag) == struct.pack("<dd", fresh.real, fresh.imag), p
+
+
+def test_a_parsed_point_encodes_as_the_string_it_was_read_from():
+    strings = set()
+    for kind in ("finite_cyclic", "parabolic", "hyperbolic", "dihedral"):
+        doc = collection_doc(elementary_col3(kind, n=5 if kind == "finite_cyclic" else None), 4)
+        strings.update(doc["cusps"])
+        strings.update(s for system in doc["systems"] for pair in system["chords"] for s in pair)
+    assert len(strings) > 1000
+    for s in strings:
+        p = BoundaryPoint.parse(s)
+        assert p.encode() == s == p._encode()
+    # points first made by arithmetic, in each chart, and parsed afterwards
+    rng = random.Random(25)
+    for _ in range(50):
+        x = random_field_elem(rng, span=10**9, den=10**6) * SQRT2 + Fraction(1, 7)
+        for p in (BoundaryPoint.ext_real(x), BoundaryPoint.disk_angle(x), BoundaryPoint.signed_exp(-1, x)):
+            assert p._enc is None  # nothing cached yet
+            s = p._encode()
+            assert BoundaryPoint.parse(s) is p
+            assert p.encode() == s == p._encode()
 
 
 def test_parse_rejects_other_spellings_of_a_point_whose_encoding_is_cached():

@@ -115,7 +115,54 @@ def test_encoding_round_trip():
     for _ in range(200):
         x = random_field_elem(rng)
         assert FieldElem.parse(x.encode()) == x
+    for _ in range(500):  # wide numerators and denominators, some shared
+        span, den = 10 ** rng.randint(0, 40), 10 ** rng.randint(0, 30)
+        x = random_field_elem(rng, span=span, den=den, irrational=rng.random() < 0.8)
+        assert FieldElem.parse(x.encode()) == x
     assert FieldElem.parse("1/1,0/1,0/1,0/1") == ONE
+
+
+# spellings of one coefficient n/d that Python's int() reads but encode() never writes
+_ARABIC, _FULLWIDTH = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"), str.maketrans("0123456789", "０１２３４５６７８９")
+MISSPELLINGS = {
+    "underscore": lambda n, d: (f"{n}_0", f"{d}"),
+    "space before": lambda n, d: (f" {n}", f"{d}"),
+    "space after": lambda n, d: (f"{n}", f"{d} "),
+    "plus": lambda n, d: (f"+{abs(n)}", f"{d}"),
+    "negative zero": lambda n, d: ("-0", "1"),
+    "zero over two": lambda n, d: ("0", "2"),
+    "leading zero": lambda n, d: (f"-0{-n}" if n < 0 else f"0{n}", f"{d}"),
+    "leading zero below": lambda n, d: (f"{n}", f"0{d}"),
+    "arabic-indic digits": lambda n, d: (f"{n}".translate(_ARABIC), f"{d}".translate(_ARABIC)),
+    "fullwidth digits": lambda n, d: (f"{n}".translate(_FULLWIDTH), f"{d}"),
+    "negative denominator": lambda n, d: (f"{-n}", f"-{d}"),
+}
+
+
+def test_parse_rejects_spellings_that_int_reads():
+    for s in ("1_0/3,0/1,0/1,0/1", " 1/2,0/1,0/1,0/1", "+1/2,0/1,0/1,0/1", "-0/1,0/1,0/1,0/1", "0/2,0/1,0/1,0/1"):
+        with pytest.raises(ValueError):
+            FieldElem.parse(s)
+    for s in ("01/2,0/1,0/1,0/1", "1/02,0/1,0/1,0/1", "١/2,0/1,0/1,0/1", "1/-2,0/1,0/1,0/1"):
+        with pytest.raises(ValueError):
+            FieldElem.parse(s)
+    rng = random.Random(2025)
+    for _ in range(400):
+        x = random_field_elem(rng, span=10**6, den=10**4)
+        parts = x.encode().split(",")
+        name = rng.choice(sorted(MISSPELLINGS) + ["three parts", "five parts"])
+        if name == "three parts":
+            del parts[rng.randrange(4)]
+        elif name == "five parts":
+            parts.insert(rng.randrange(5), rng.choice(parts))
+        else:
+            k = rng.randrange(4)
+            n, d = map(int, parts[k].split("/"))
+            num, den = MISSPELLINGS[name](n, d)
+            int(num), int(den)  # the premise: int() reads both
+            parts[k] = f"{num}/{den}"
+        with pytest.raises(ValueError):
+            FieldElem.parse(",".join(parts))
 
 
 def test_huge_coefficients_fall_back_exactly():

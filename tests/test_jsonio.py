@@ -225,3 +225,42 @@ def test_an_unreadable_file_is_a_parse_error_naming_it(tmp_path):
         for read in (load, load_group):
             with pytest.raises(ParseError, match=f"^cannot parse {re.escape(path)}: "):
                 read(path)
+
+
+def _refused_by_both_commands(tmp_path, doc, reason):
+    """``doc`` fails to load with ``reason``, and check and render exit 2 naming the file."""
+    path = str(tmp_path / "doc.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f)
+    with pytest.raises(ParseError, match=f"^cannot parse {re.escape(path)}: {reason}"):
+        load(path)
+    for argv in (["check", path], ["render", path, "--out", str(tmp_path / "doc.svg")]):
+        code, err = _run(argv)
+        assert code == 2 and err.startswith(f"error: cannot parse {path}: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_a_chord_must_be_a_list_of_two_point_strings(tmp_path):
+    zero, one = LAMINATION["chords"][0]
+    for chord in ({zero: 1, one: 2}, [zero], [zero, one, "r:2/1,0/1,0/1,0/1"], [0, 1]):
+        doc = {**LAMINATION, "chords": [chord]}
+        _refused_by_both_commands(tmp_path, doc, "a chord must be a list of two point strings")
+
+
+def test_an_object_in_place_of_a_list_is_refused(tmp_path):
+    _refused_by_both_commands(tmp_path, {**LAMINATION, "chords": {}}, "chords must be a list")
+    for key in ("systems", "cusps", "group"):
+        _refused_by_both_commands(tmp_path, {**BASES["parabolic"], key: {}}, f"{key} must be a list")
+    nested = copy.deepcopy(BASES["parabolic"])
+    nested["systems"][0]["chords"] = {}
+    _refused_by_both_commands(tmp_path, nested, "chords must be a list")
+    path = str(tmp_path / "group.json")
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"generators": {}}, f)
+    with pytest.raises(ParseError, match="generators must be a list"):
+        load_group(path)
+
+
+def test_a_finite_cyclic_builder_without_an_order_is_refused(tmp_path):
+    base = BASES["finite_cyclic"]
+    for builder in ({"kind": "finite_cyclic"}, {"kind": "finite_cyclic", "n": 1}, {"name": "finite_cyclic", "n": -3}):
+        _refused_by_both_commands(tmp_path, {**base, "builder": builder}, "finite_cyclic requires order n >= 2")
