@@ -44,6 +44,12 @@ has the non-canonical point r:2/4 and whose generator the non-canonical entry
 ``encode()`` never writes (the point r:1_0/3,0/1,0/1,0/1 in a chord, the
 generator entry " 1/2,0/1,0/1,0/1") and a chord written as a JSON object of
 its two point strings.
+For an invalid lamination it records, under ``check:<kind>:4:crossing``, the
+exit code of ``laminar check`` and its report with the timings removed, on the
+depth-4 parabolic collection and the depth-4 farey file, each with one chord
+added to its first system that crosses the set (the chord list kept
+canonical), and under ``gaps:<kind>:4:crossing`` the ``InvalidLamination``
+message that ``gaps`` raises on that system's chords as read from the file.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
 """
 
@@ -112,6 +118,7 @@ BAD_INPUTS = {  # name -> file content, or None for no file
 }
 GROUPED_INPUTS = ("missing", "directory", "invalid-json", "non-canonical")  # one errors:<command> key
 ERROR_ARGV = {"check": ["check"], "render": ["render"], "dynamics": ["dynamics", "--test", "cusps", "--group"]}
+CROSSING_KINDS, CROSSING_DEPTH = ("parabolic", "farey"), 4  # built files given one crossing chord
 
 
 def _build_argv(kind: str, depth: int, out: str) -> list:
@@ -160,6 +167,46 @@ def _errors(main, tmp: str) -> dict:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = main([*argv, path])
             out.setdefault(command, {})[name] = [code, err.getvalue().replace(tmp, "<tmp>")]
+    return out
+
+
+def _crossing(main, tmp: str, kind: str) -> dict:
+    """``check`` and the ``gaps`` error on the depth-4 file of ``kind`` (built
+    above) with one chord added to its first system: the first new chord that
+    crosses the set from its first endpoint in rank to an endpoint from the
+    middle one on.  The chord list stays canonical, so only the crossing is
+    wrong."""
+    from laminar.errors import InvalidLamination
+    from laminar.jsonio import chords_to_json, dumps, load
+    from laminar.lamination import Chord, Truncation, gaps, unlinked
+
+    def first_system(path):
+        parsed = load(path)
+        return (parsed.systems[0] if hasattr(parsed, "systems") else parsed).chords
+
+    path = os.path.join(tmp, f"{kind}-{CROSSING_DEPTH}.json")
+    with open(path, encoding="utf-8") as f:
+        doc = json.load(f)
+    chords = first_system(path)
+    points = Truncation(chords).points
+    planted = next(
+        c
+        for c in (Chord(points[0], q) for q in points[len(points) // 2 :])
+        if c not in chords and not all(unlinked(c, ch) for ch in chords)
+    )
+    (doc["systems"][0] if "systems" in doc else doc)["chords"] = chords_to_json([*chords, planted])
+    path = os.path.join(tmp, f"{kind}-{CROSSING_DEPTH}.crossing.json")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dumps(doc))
+    report = os.path.join(tmp, f"{kind}-{CROSSING_DEPTH}.crossing.check.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["check", path, "--out", report])
+    with open(report, encoding="utf-8") as f:
+        out = {f"check:{kind}:{CROSSING_DEPTH}:crossing": {"exit": code, **_strip_seconds(json.load(f))}}
+    try:
+        gaps(first_system(path))
+    except InvalidLamination as exc:
+        out[f"gaps:{kind}:{CROSSING_DEPTH}:crossing"] = str(exc)
     return out
 
 
@@ -244,6 +291,8 @@ def collect(root: str) -> dict:
                         code = main(["check", doc, "--out", report])
                     with open(report, encoding="utf-8") as f:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
+        for kind in CROSSING_KINDS:
+            out.update(_crossing(main, tmp, kind))
         for kinds in MULTI_RENDERS:
             docs = [os.path.join(tmp, f"{kind}-{MULTI_DEPTH}.json") for kind in kinds]
             name = "+".join(kinds)

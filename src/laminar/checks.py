@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -48,27 +47,12 @@ class CheckSuiteResult:
                 {
                     "name": e.name,
                     "status": e.status,
-                    "details": _jsonable(e.details),
+                    "details": e.details,
                     "seconds": round(e.seconds, 4),
                 }
                 for e in self.entries
             ],
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (set, frozenset)):  # in JSON order, not hash order
-        return sorted((_jsonable(v) for v in obj), key=lambda v: json.dumps(v, sort_keys=True))
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return obj
-    if hasattr(obj, "encode") and callable(obj.encode):
-        enc = obj.encode()
-        return enc if isinstance(enc, (str, list)) else repr(obj)
-    return repr(obj)
 
 
 def _timed(result, name, fn):
@@ -88,7 +72,7 @@ def check_axioms(result: CheckSuiteResult, name: str, chords) -> None:
         kind, data = rep.first
         return "fail", {
             "violations": len(rep.violations),
-            "first": [kind, _jsonable(data)],
+            "first": [kind, data and [ch.encode() for ch in data]],
         }
 
     _timed(result, f"axioms:{name}", run)

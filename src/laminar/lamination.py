@@ -11,9 +11,11 @@ The predicates on single intervals and chords are exact and stand alone; like
 queries that ask many of them about one chord set (validation, gaps, chains,
 rainbows, separation) go through a ``Truncation``: the chord set with its
 endpoints sorted once by exact key, so that every later comparison is one on
-integer ranks.  Functions taking a chord list find their ``Truncation`` in a
-memo of the last four sets, matched by tuple and only then by set
-(``truncation_of``); ``LaminationSystem.truncation`` keeps one per depth.
+integer ranks, and one stack sweep over its chords that lists every crossing
+pair and builds the nesting forest.  Functions taking a chord list find their
+``Truncation`` in a memo of the last four sets, matched by tuple and only then
+by set (``truncation_of``); ``LaminationSystem.truncation`` keeps one per
+depth.
 """
 
 from __future__ import annotations
@@ -181,25 +183,21 @@ def validate_truncation(chords) -> ValidationReport:
     """Check the finite truncation axioms; violations are data, not errors.
 
     Dual closure holds structurally for chord sets, so the checked content is
-    nonemptiness plus pairwise unlinkedness.  The ranked truncation certifies
-    valid inputs; when a crossing exists, every violating pair is listed in
-    the caller's chord order, repeats dropped, decided on ranks.
+    nonemptiness plus pairwise unlinkedness.  The ranked truncation's sweep
+    lists every crossing pair (``Truncation.linked``); here they are put in
+    the caller's chord order, repeats dropped: each pair as (earlier, later),
+    the pairs sorted by their earlier, then their later chord.
     """
     chords = list(chords)
-    report = ValidationReport()
     if not chords:
-        report.violations.append(("empty-family", None))
-        return report
+        return ValidationReport([("empty-family", None)])
     t = truncation_of(chords)
-    if not t.ok:
-        chords = list(dict.fromkeys(chords))
-        segs = [(t.rank[ch.lo], t.rank[ch.hi]) for ch in chords]
-        for a, (i, j) in enumerate(segs):
-            for b in range(a + 1, len(segs)):
-                k, l = segs[b]
-                if len({i, j, k, l}) == 4 and (i < k < j) != (i < l < j):
-                    report.violations.append(("linked-pair", (chords[a], chords[b])))
-    return report
+    if t.ok:
+        return ValidationReport()
+    chords = list(dict.fromkeys(chords))
+    pos = {ch: n for n, ch in enumerate(chords)}
+    pairs = sorted(sorted((pos[t.chords[a]], pos[t.chords[b]])) for a, b in t.linked)
+    return ValidationReport([("linked-pair", (chords[a], chords[b])) for a, b in pairs])
 
 
 # -- gaps (complementary regions) --------------------------------------------
@@ -272,11 +270,16 @@ class Truncation:
     has rank 2k and a point off the truncation the odd rank 2*bisect - 1, so
     ranks modulo ``modulus`` = 2m are the circular order.  Chord k of
     ``chords`` is the segment ``segs[k]`` = (i, j), i < j, in (i, -j) order.
-    One stack sweep over the segments decides validity (``ok``) and builds the
-    nesting forest: ``parent[k]`` is -1 for a root, and ``kids[-1]`` lists the
-    roots; a chain, witness or rainbow depth is one bisect plus a tree path in
-    it.  Gap 0 is the region around the chart basepoint and gap k + 1 the
-    region just inside chord k; gaps are built on first use.
+    One stack sweep over the segments lists every crossing pair and builds the
+    nesting forest.  The open chords stay on a stack by end, innermost on top;
+    a segment (i, j) pops those ending at or before i, and the run left on top
+    that ends strictly inside (i, j) is exactly what it crosses.  ``linked``
+    holds each such pair (c, k) of chord indices, c < k, and ``ok`` holds when
+    there are chords and no pair.  In a valid set ``parent[k]`` is -1 for a
+    root, and ``kids[-1]`` lists the roots; a chain, witness or rainbow depth
+    is one bisect plus a tree path in it.  Gap 0 is the region around the
+    chart basepoint and gap k + 1 the region just inside chord k; gaps are
+    built on first use.
     """
 
     def __init__(self, chords):
@@ -294,16 +297,19 @@ class Truncation:
         self.node_of = {ch: k for k, ch in enumerate(self.chords)}
         self.parent = [-1] * len(chords)
         self.kids = [[] for _ in range(len(chords) + 1)]
-        self.ok, stack = bool(chords), []
+        self.linked, stack = [], []  # open chords by end, innermost on top
         for k, (i, j) in enumerate(self.segs):
             while stack and self.segs[stack[-1]][1] <= i:
                 stack.pop()
-            if stack and self.segs[stack[-1]][1] < j:
-                self.ok = False
-                break
-            self.parent[k] = stack[-1] if stack else -1
+            n = len(stack)  # below n: ends at or past j; from n up: ends inside (i, j), so crossing
+            while n and self.segs[stack[n - 1]][1] < j:
+                n -= 1
+            if n < len(stack):
+                self.linked += [(c, k) for c in stack[n:]]
+            self.parent[k] = stack[n - 1] if n else -1
             self.kids[self.parent[k]].append(k)
-            stack.append(k)
+            stack.insert(n, k)
+        self.ok = bool(chords) and not self.linked
         self._gaps = self._heights = self._by_encoding = None
 
     def ranks(self, *points) -> list:

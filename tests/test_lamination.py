@@ -1,13 +1,14 @@
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
 
 import pytest
 
 from laminar.checks import CheckSuiteResult, check_coherence
 from laminar.circle import BoundaryPoint, Chart, chart_convert
-from laminar.constructions import farey_system, farey_tessellation, half_farey_system
+from laminar.constructions import elementary_col3, farey_system, farey_tessellation, half_farey_system
 from laminar.errors import ChartMismatch, IncomparableCharts, InvalidLamination, NotADistinctPair
 from laminar.field import FieldElem
 from laminar.lamination import (
@@ -688,6 +689,8 @@ def test_validate_lists_linked_pairs_in_caller_order():
     for _ in range(80):
         chords = [Chord(*rng.sample(grid, 2)) for _ in range(rng.randint(2, 12))]
         inputs.append(chords + rng.sample(chords, 2))  # duplicates are ignored
+    # crossing-heavy sets, where chords sharing an endpoint or an end are common
+    inputs += [[Chord(*rng.sample(grid, 2)) for _ in range(rng.randint(20, 60))] for _ in range(40)]
     # one crossing pair, each chord of it repeated: listed once
     inputs.append([chord_er(0, 2), chord_er(1, 3), chord_er(0, 2), chord_er(5, 6), chord_er(1, 3)])
     crossing = 0
@@ -700,7 +703,27 @@ def test_validate_lists_linked_pairs_in_caller_order():
         if want:
             with pytest.raises(InvalidLamination, match="linked-pair"):
                 gaps(chords)
-    assert crossing > 40
+    assert crossing > 100
+
+
+def test_a_chord_crossing_a_deep_system_is_listed_and_raised_without_a_pair_scan():
+    # the depth-7 dihedral system 0 (7,681 chords) plus the chord from its
+    # first endpoint in rank to its middle one, placed mid-list so that it is
+    # the later chord of some linked pairs and the earlier one of the others
+    chords = list(elementary_col3("dihedral").systems[0].chords(7))
+    points = Truncation(chords).points
+    planted = Chord(points[0], points[len(points) // 2])
+    chords.insert(len(chords) // 2, planted)
+    at = chords.index(planted)
+    want = [(ch, planted) if k < at else (planted, ch) for k, ch in enumerate(chords) if not unlinked(planted, ch)]
+    t0 = time.perf_counter()
+    rep = validate_truncation(chords)
+    with pytest.raises(InvalidLamination) as raised:
+        gaps(chords)
+    seconds = time.perf_counter() - t0
+    assert len(want) > 20 and [data for _, data in rep.violations] == want
+    assert str(raised.value) == rep.describe()
+    assert seconds < 2.0, seconds
 
 
 def test_c_p_I_rejects_crossing_sets():
