@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, elementary_col3
 from .lamination import (
@@ -19,12 +18,12 @@ from .jsonio import builder_kind
 from .mobius import apply_to_chord  # noqa: F401  (re-exported, read by perfbench/test_perfbench.py)
 
 
-@dataclass
 class CheckEntry:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    details: dict = field(default_factory=dict)
-    seconds: float = 0.0
+    def __init__(self, name: str, status: str, details: dict | None = None, seconds: float = 0.0):
+        self.name = name
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.details = {} if details is None else details
+        self.seconds = seconds
 
     def line(self) -> str:
         return f"[{self.status:>7}] {self.name} ({self.seconds:.2f}s)" + (
@@ -32,9 +31,9 @@ class CheckEntry:
         )
 
 
-@dataclass
 class CheckSuiteResult:
-    entries: list = field(default_factory=list)
+    def __init__(self, entries: list | None = None):
+        self.entries = [] if entries is None else entries
 
     @property
     def ok(self) -> bool:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .circle import BoundaryPoint, circular_order
 from .errors import (
@@ -56,14 +56,10 @@ def cusp_points(generators, radius: int) -> list:
     return sorted(found.keys(), key=lambda p: p.encode())
 
 
-@dataclass(frozen=True)
-class Wing:
+class Wing(namedtuple("Wing", "k u inner outer")):
     """One angel-wing neighborhood U_k = I_k u {p} u J_k around the cusp p."""
 
-    k: int
-    u: Interval
-    inner: Interval
-    outer: Interval
+    __slots__ = ()
 
 
 def angel_wings(g, leaf: Chord, count: int, interval: Interval | None = None) -> list:
@@ -203,11 +199,11 @@ def approximation_sequence_check(maps, pair, tol: float = 1e-6) -> bool:
 # -- triple escape sampler --------------------------------------------------------
 
 
-@dataclass
 class SequenceReport:
-    verdict: str  # "convergence_like" | "violation" | "inconclusive"
-    witness: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    def __init__(self, verdict: str, witness: dict | None = None, params: dict | None = None):
+        self.verdict = verdict  # "convergence_like" | "violation" | "inconclusive"
+        self.witness = {} if witness is None else witness
+        self.params = {} if params is None else params
 
     def to_json(self):
         return {"verdict": self.verdict, "witness": self.witness, "params": self.params}

@@ -21,7 +21,7 @@ depth.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .circle import BoundaryPoint, Chart, circular_order, comparable, require_one_chart, require_same_chart
 from .errors import InvalidLamination, NotADistinctPair
@@ -160,9 +160,9 @@ def properly_lies_on(leaf: Chord, j: Interval) -> bool:
 # -- truncation validation ---------------------------------------------------
 
 
-@dataclass
 class ValidationReport:
-    violations: list = field(default_factory=list)
+    def __init__(self, violations: list | None = None):
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:
@@ -203,8 +203,7 @@ def validate_truncation(chords) -> ValidationReport:
 # -- gaps (complementary regions) --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(namedtuple("Gap", "intervals vertices arcs")):
     """Complementary region: far-side intervals in ccw cyclic order.
 
     ``vertices`` are the isolated points of the complement of the interval
@@ -212,9 +211,7 @@ class Gap:
     infinite vertex set and is flagged provisional.
     """
 
-    intervals: tuple
-    vertices: tuple
-    arcs: tuple
+    __slots__ = ()
 
     @property
     def provisional(self) -> bool:
@@ -476,10 +473,8 @@ def c_p_I(chords, p: BoundaryPoint, outer: Interval) -> list[Interval]:
 # -- rainbows ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeOutcome:
-    endpoint: bool
-    nesting: int | None
+class ProbeOutcome(namedtuple("ProbeOutcome", "endpoint nesting")):
+    __slots__ = ()
 
     def __repr__(self):
         return "Endpoint" if self.endpoint else f"NestedDepth({self.nesting})"
@@ -524,13 +519,7 @@ def strongly_transverse(chords1, chords2) -> tuple[bool, set]:
 # -- separation of distinct pairs ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Separation:
-    gap: Gap
-    witness: BoundaryPoint
-    chain_max: Interval
-    container_of_first: Interval
-    container_of_second: Interval
+Separation = namedtuple("Separation", "gap witness chain_max container_of_first container_of_second")
 
 
 def separate_distinct_pair(chords, first: Interval, second: Interval):
@@ -604,12 +593,7 @@ class LaminationSystem:
         return f"LaminationSystem({self.name!r}, {self.chart.value})"
 
 
-@dataclass(frozen=True)
-class Col3Collection:
+class Col3Collection(namedtuple("Col3Collection", "kind systems generators cusps params")):
     """Three invariant systems with their group generators and declared cusps."""
 
-    kind: str
-    systems: tuple
-    generators: tuple
-    cusps: tuple
-    params: dict
+    __slots__ = ()

@@ -17,7 +17,7 @@ are carried symbolically by their exact defining quadratic and branch sign.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .circle import BoundaryPoint, Chart
@@ -247,18 +247,15 @@ class MobiusMap(_Action):
         return f"MobiusMap[{p!r},{q!r};{r!r},{s!r}]"
 
 
-@dataclass(frozen=True)
-class SymbolicRoot:
+class SymbolicRoot(namedtuple("SymbolicRoot", "a b c branch")):
     """Root of a*x^2 + b*x + c = 0 (disc > 0, irrational over the field).
 
-    ``branch`` +1 selects the larger root.  The root is carried exactly by
-    its quadratic but is only evaluated as a float.
+    ``a``, ``b``, ``c`` are field elements; ``branch`` +1 selects the larger
+    root.  The root is carried exactly by its quadratic but is only evaluated
+    as a float.
     """
 
-    a: FieldElem
-    b: FieldElem
-    c: FieldElem
-    branch: int
+    __slots__ = ()
 
     @staticmethod
     def make(a, b, c, branch) -> "SymbolicRoot":

@@ -8,7 +8,7 @@ are antipodal), and output bytes depend only on the inputs and the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 MARGIN = 24.0
@@ -18,10 +18,7 @@ CUSP_RADIUS = 6.0
 PRECISION = 9  # digits after the point in every coordinate
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    size: int = 720
-    stroke_width: float = 1.4
+RenderSpec = namedtuple("RenderSpec", "size stroke_width", defaults=(720, 1.4))
 
 
 def arc_geometry(z1: complex, z2: complex):

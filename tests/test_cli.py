@@ -251,6 +251,17 @@ def test_failing_check_details_do_not_follow_hash_order(tmp_path):
     assert '"mismatched": 5' in text and '"shared_leaf"' in text
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Every command runs in a fresh process and pays the package import first;
+    ``dataclasses`` alone loads ``inspect``, ``ast``, ``dis`` and ``tokenize``.
+    ``-S`` keeps the modules that site ``.pth`` files import out of the check."""
+    src = os.path.dirname(os.path.dirname(laminar.__file__))
+    code = f"import sys; sys.path.insert(0, {src!r}); import laminar.cli; print(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 PSL2Z = {
     "generators": [
         {"matrix": ["0/1,0/1,0/1,0/1", "-1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"]},

@@ -6,16 +6,22 @@ from fractions import Fraction
 
 import pytest
 
-from laminar.checks import CheckSuiteResult, check_coherence
+from laminar.checks import CheckEntry, CheckSuiteResult, check_coherence
 from laminar.circle import BoundaryPoint, Chart, chart_convert
 from laminar.constructions import elementary_col3, farey_system, farey_tessellation, half_farey_system
+from laminar.dynamics import SequenceReport, Wing
 from laminar.errors import ChartMismatch, IncomparableCharts, InvalidLamination, NotADistinctPair
 from laminar.field import FieldElem
 from laminar.lamination import (
     Chord,
+    Col3Collection,
+    Gap,
     Interval,
     LaminationSystem,
+    ProbeOutcome,
+    Separation,
     Truncation,
+    ValidationReport,
     c_p_I,
     chords_to_intervals,
     endpoints_set,
@@ -34,6 +40,8 @@ from laminar.lamination import (
     unlinked,
     validate_truncation,
 )
+from laminar.mobius import SymbolicRoot
+from laminar.render import RenderSpec
 
 from conftest import INF, chain_scan, chord_er, fr, gap_refines, rank_sides, separation_top_scan
 
@@ -885,3 +893,46 @@ def test_chords_are_unordered_pairs_and_reject_bad_endpoints():
             Chord(*bad)
         with pytest.raises(err):
             Interval(*bad)
+
+
+def test_value_types_and_reports_keep_their_contract():
+    """Value types compare and hash by their fields and refuse assignment;
+    reports are mutable and never share a default list or dict."""
+    g = gaps(farey_tessellation(1))[0]
+    iv = g.intervals[0]
+    one, two = FieldElem(1), FieldElem(2)
+    values = {
+        Gap: ((g.intervals, g.vertices, g.arcs), "arcs"),
+        ProbeOutcome: ((False, 2), "nesting"),
+        Separation: ((g, fr(0), iv, iv, iv), "witness"),
+        SymbolicRoot: ((one, two, -one, 1), "branch"),
+        Wing: ((1, iv, iv, iv), "k"),
+        RenderSpec: ((400, 2.0), "size"),
+        Col3Collection: (("trivial", (), (), (), {}), "kind"),
+    }
+    for cls, (args, name) in values.items():
+        a, b = cls(*args), cls(*args)
+        assert a == b, cls
+        if cls is not Col3Collection:  # its params dict is unhashable
+            assert hash(a) == hash(b), cls
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert RenderSpec() == RenderSpec(720, 1.4) and RenderSpec(size=400).stroke_width == 1.4
+    chords = [chord_er(0, "inf")]
+    assert repr(rainbow_probe(chords, fr(0), 0)) == "Endpoint"
+    assert repr(rainbow_probe(chords, fr(1, 2), 0)) == "NestedDepth(1)"
+
+    v1, v2 = ValidationReport(), ValidationReport()
+    v1.violations.append(("empty-family", None))
+    assert v2.violations == [] and v2.ok and not v1.ok
+    r1, r2 = CheckSuiteResult(), CheckSuiteResult()
+    r1.entries.append(CheckEntry("axioms", "pass"))
+    assert r2.entries == [] and r1.ok
+    e1, e2 = CheckEntry("a", "fail"), CheckEntry("b", "fail")
+    e1.details["x"] = 1
+    assert e2.details == {}
+    e1.seconds += 0.5
+    assert e1.seconds == 0.5 and e1.line() == "[   fail] a (0.50s)  {'x': 1}"
+    s1, s2 = SequenceReport("inconclusive"), SequenceReport("inconclusive")
+    s1.witness["a"], s1.params["b"] = 1, 2
+    assert s2.to_json() == {"verdict": "inconclusive", "witness": {}, "params": {}}
