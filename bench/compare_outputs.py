@@ -33,7 +33,12 @@ so that the short arc inside a slot, the long arc round the circle and the wrap
 slot all occur (``slot_chain`` keys).  Build
 JSON is sorted, so it cannot show chord order: for each of those systems and
 for half_farey and square it records the sha256 of the encoded
-``system.chords(d)`` tuples for d = 1-6, in order.  The laminar under
+``system.chords(d)`` tuples for d = 1-6, in order.  A chord's ends are held
+in identity order, which differs from run to run, and read in linear order
+only by ``repr`` and ``sides()``: for every system of each elementary kind and
+for farey it records the sha256 of each depth-3 chord's ``repr`` and the
+encodings of its two sides, in ``system.chords(3)`` order (``views`` keys).
+The laminar under
 ``ROOT/src`` is imported (default: the checkout holding this script).
 For ``check``, ``render`` and ``dynamics`` it records the exit code and the
 stderr on seven unreadable inputs, with the temporary directory written as
@@ -312,6 +317,8 @@ def collect(root: str) -> dict:
             order = [[c.encode() for c in system.chords(d)] for d in BUILD_DEPTHS]
             out[f"order:{kind}:{system.name}"] = hashlib.sha256(json.dumps(order).encode("utf-8")).hexdigest()
         for kind, system in systems:
+            views = [[repr(c), *(s.encode() for s in c.sides())] for c in system.chords(QUERY_DEPTH)]
+            out[f"views:{kind}:{system.name}"] = hashlib.sha256(json.dumps(views).encode("utf-8")).hexdigest()
             for query, answers in _queries(system).items():
                 digest = hashlib.sha256(json.dumps(answers).encode("utf-8")).hexdigest()
                 out[f"{query}:{kind}:{system.name}:{QUERY_DEPTH}"] = digest

@@ -8,9 +8,9 @@ depth unit is one insertion round in every recursive arc plus one orbit shell.
 Builders extend instead of rebuilding: a ``DenseSpec`` keeps each half-Farey
 fill and adds only the rounds a deeper call needs.  Every orbit builder is
 ``orbit_closure`` of a base piece under a list of group elements, and maps
-each boundary point once per group element (``ChordImages``), whatever the
-order in which depths are asked for.  ``orbit_closure`` returns the union of
-the orbit images only; callers that want it validated call
+each boundary point once per group element (one point memo per element),
+whatever the order in which depths are asked for.  ``orbit_closure`` returns
+the union of the orbit images only; callers that want it validated call
 ``validate_truncation`` themselves.  Every builder returns a list with no
 repeats, and ``LaminationSystem`` trusts that.
 """
@@ -205,51 +205,27 @@ def square_triangulation(spec: DenseSpec, i_arc, j_arc, depth: int) -> list:
     return chords
 
 
-class ChordImages:
-    """Chord images under group elements.
-
-    Each element maps each boundary point and each chord once, however many
-    chord sets it is applied to, so an orbit builder pays only for what is
-    new at a depth.  Equal elements share one memo.
-    """
-
-    def __init__(self):
-        self._memo = {}  # group element -> ({point: image}, {chord: image})
-
-    def __call__(self, g, chords) -> list:
-        memo = self._memo.get(g)
-        if memo is None:
-            memo = self._memo[g] = ({}, {})
-        points, images = memo
-        out = []
-        for ch in chords:
-            im = images.get(ch)
-            if im is None:
-                im = images[ch] = apply_to_chord(g, ch, points)
-            out.append(im)
-        return out
-
-
-def orbit_closure(seed, elements, images: ChordImages | None = None) -> list:
+def orbit_closure(seed, elements, images: dict | None = None) -> list:
     """The images of the seed chords under each of ``elements`` in list
     order, first occurrence kept.
 
-    The union is not validated; pass ``images`` to reuse point images across
-    calls.
+    The union is not validated.  ``images`` maps each group element to its
+    ``apply_to_chord`` point memo; pass one dict to map each boundary point
+    once per element across calls.  Equal elements share one memo.
     """
-    if images is None:
-        images = ChordImages()
+    images = {} if images is None else images
     chords = []
     for g in elements:
-        chords += images(g, seed)
+        points = images.setdefault(g, {})
+        chords += [apply_to_chord(g, ch, points) for ch in seed]
     return list(dict.fromkeys(chords))
 
 
 def _orbit_system(name, chart, base, elements) -> LaminationSystem:
     """The system whose depth-d chords are ``orbit_closure(base(d),
     elements(d))``.  The element list is made on each build call, and one
-    ``ChordImages`` maps each boundary point once per element across depths."""
-    images = ChordImages()
+    ``images`` dict maps each boundary point once per element across depths."""
+    images = {}
     return LaminationSystem(name, chart, lambda depth: orbit_closure(base(depth), elements(depth), images))
 
 

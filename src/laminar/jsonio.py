@@ -140,6 +140,9 @@ class ParsedCollection:
         points = {}  # one parse per distinct point string in the document
         self.cusps = [_point(points, s) for s in _list(doc, "cusps", [])]
         self.systems = [ParsedLamination(s, points) for s in _list(doc, "systems")]
+        for k, s in enumerate(self.systems):
+            if s.depth != self.depth:
+                raise ParseError(f"system {k} has depth {s.depth}, but the collection has depth {self.depth}")
         require_one_chart([*self.systems, *self.cusps], ParseError)
         self.builder = _builder(doc)
 

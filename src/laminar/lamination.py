@@ -68,7 +68,10 @@ class Interval:
 
 
 class Chord:
-    """Unordered pair of distinct boundary points; the leaf {I, I*}."""
+    """Unordered pair of distinct boundary points; the leaf {I, I*}.
+
+    ``lo``, ``hi`` are the ends in a fixed identity order, lower ``id`` first
+    (points are interned, never freed), not in linear order: see ``ends()``."""
 
     __slots__ = ("lo", "hi", "_h")
 
@@ -76,14 +79,21 @@ class Chord:
         require_same_chart(u, v)
         if u is v:  # one object per point
             raise ValueError("degenerate chord")
-        if v.linear_key() < u.linear_key():
+        if id(v) < id(u):
             u, v = v, u
         self.lo = u
         self.hi = v
         self._h = None
 
+    def ends(self) -> tuple:
+        """The two ends in linear order, by ``linear_key``."""
+        lo, hi = self.lo, self.hi
+        return (hi, lo) if hi.linear_key() < lo.linear_key() else (lo, hi)
+
     def sides(self) -> tuple[Interval, Interval]:
-        return Interval(self.lo, self.hi), Interval(self.hi, self.lo)
+        """Both sides, the ccw arc from the linearly first end first."""
+        a, b = self.ends()
+        return Interval(a, b), Interval(b, a)
 
     def side_containing(self, p: BoundaryPoint) -> Interval:
         a, b = self.sides()
@@ -111,7 +121,8 @@ class Chord:
         return sorted((self.lo.encode(), self.hi.encode()))
 
     def __repr__(self):
-        return f"Chord{{{self.lo.encode()}, {self.hi.encode()}}}"
+        a, b = self.ends()
+        return f"Chord{{{a.encode()}, {b.encode()}}}"
 
 
 # -- elementary predicates ---------------------------------------------------
@@ -288,7 +299,11 @@ class Truncation:
         self.points = tuple(p for _, p in keyed)
         self.rank = {p: 2 * k for k, p in enumerate(self.points)}
         self.modulus = 2 * len(self.points)
-        segs = sorted(((self.rank[ch.lo], self.rank[ch.hi], ch) for ch in chords), key=lambda s: (s[0], -s[1]))
+        segs = []
+        for ch in chords:  # a chord's ends are in identity order: put its ranks in order
+            i, j = self.rank[ch.lo], self.rank[ch.hi]
+            segs.append((i, j, ch) if i < j else (j, i, ch))
+        segs.sort(key=lambda s: (s[0], -s[1]))
         self.chords = tuple(ch for _, _, ch in segs)
         self.segs = tuple((i, j) for i, j, _ in segs)
         self.node_of = {ch: k for k, ch in enumerate(self.chords)}

@@ -96,8 +96,9 @@ def render_svg(layers, cusps=(), spec: RenderSpec | None = None) -> str:
         color = PALETTE[idx % len(PALETTE)]
         ordered = sorted(dict.fromkeys(chords), key=lambda c: c.encode())
         for ch in ordered:
-            geom = arc_geometry(ch.lo.to_complex(), ch.hi.to_complex())
-            path = _arc_path(canvas, geom, canvas.at(ch.lo), canvas.at(ch.hi))
+            a, b = ch.ends()
+            geom = arc_geometry(a.to_complex(), b.to_complex())
+            path = _arc_path(canvas, geom, canvas.at(a), canvas.at(b))
             lines.append(f'<path d="{path}" fill="none" stroke="{color}" stroke-width="{width}"/>')
         seen = dict.fromkeys(p for ch in ordered for p in (ch.lo, ch.hi))
         for p in sorted(seen, key=lambda q: q.encode()):
@@ -117,7 +118,7 @@ def arcs_report(chords) -> list:
     """Arc geometry and orthogonality residuals, for tests and --format json."""
     out = []
     for ch in sorted(dict.fromkeys(chords), key=lambda c: c.encode()):
-        geom = arc_geometry(ch.lo.to_complex(), ch.hi.to_complex())
+        geom = arc_geometry(*(p.to_complex() for p in ch.ends()))
         kind, z1, z2, center, radius = geom
         entry = {
             "chord": ch.encode(),

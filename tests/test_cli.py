@@ -386,14 +386,26 @@ def _set_order(n):
     return edit
 
 
+def _set_depth(depth, keep=None):
+    """Keep the first ``keep`` systems (all by default) and give them and the
+    collection ``depth``: a collection's systems must share its depth."""
+
+    def edit(doc):
+        doc["systems"] = doc["systems"][:keep]
+        for d in (doc, *doc["systems"]):
+            d["depth"] = depth
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "kind, edit, skipped",
     [
         ("farey", lambda doc: doc.update(depth=15), ["coherence"]),
-        ("finite_cyclic", lambda doc: doc.update(depth=15), ["invariance", "coherence"]),
+        ("finite_cyclic", _set_depth(15), ["invariance", "coherence"]),
         ("finite_cyclic", _set_order(2000), ["invariance", "coherence"]),
         ("finite_cyclic", _set_order(10**9), ["invariance", "coherence"]),
-        ("finite_cyclic", lambda doc: doc.update(depth=15, systems=doc["systems"][:1]), ["invariance", "coherence"]),
+        ("finite_cyclic", _set_depth(15, keep=1), ["invariance", "coherence"]),
     ],
     ids=["farey-depth-15", "finite-cyclic-depth-15", "n-2000", "n-1e9", "one-system-depth-15"],
 )
@@ -453,6 +465,8 @@ def _assert_one_error_line(capsys, path):
         '{"kind": "dihedral", "depth": 1, "systems": [], "group": [{"action": "exp_affine", "flip": "false", '
         '"tau": "0/1,0/1,0/1,0/1"}], "generators": [{"action": "exp_affine", "flip": 0, "tau": "0/1,0/1,0/1,0/1"}]}',
         "[" * 100_000 + "]" * 100_000,
+        '{"kind": "parabolic", "depth": 2, "systems": [{"chart": "ext_real", "depth": 7, '
+        '"chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}]}',
     ],
     ids=[
         "zero-denominator",
@@ -481,6 +495,7 @@ def _assert_one_error_line(capsys, path):
         "builder-kind-not-a-string",
         "flip-not-a-bool",
         "nested-too-deep",
+        "system-depth-differs",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

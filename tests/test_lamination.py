@@ -40,7 +40,7 @@ from laminar.lamination import (
     unlinked,
     validate_truncation,
 )
-from laminar.mobius import SymbolicRoot
+from laminar.mobius import MobiusMap, SymbolicRoot, apply_to_chord
 from laminar.render import RenderSpec
 
 from conftest import INF, chain_scan, chord_er, fr, gap_refines, rank_sides, separation_top_scan
@@ -179,7 +179,7 @@ def _random_truncation(rng, grid=60, max_pts=14):
             if q not in (base.lo, base.hi) and base.sides()[0].contains(q)
         ]
         if inner:
-            extra = Chord(base.lo, rng.choice(inner))
+            extra = Chord(base.ends()[0], rng.choice(inner))
             if all(unlinked(extra, c) for c in chords):
                 chords.append(extra)
     return list(dict.fromkeys(chords))
@@ -884,7 +884,8 @@ def test_check_coherence_on_systems():
 def test_chords_are_unordered_pairs_and_reject_bad_endpoints():
     u, v = fr(1, 3), fr(-2)
     a, b = Chord(u, v), Chord(v, u)
-    assert a == b and hash(a) == hash(b) and (a.lo, a.hi) == (b.lo, b.hi) == (v, u)
+    assert a == b and hash(a) == hash(b) and a.ends() == b.ends() == (v, u)
+    assert (a.lo, a.hi) == (b.lo, b.hi)  # one fixed pair, whichever order the ends came in
     assert Chord(fr(-2), fr(1, 3)) == a  # from points made again
     assert Interval(u, v) != Interval(v, u) and Interval(u, v) == Interval(fr(1, 3), fr(-2))
     disk = BoundaryPoint.disk_angle(FieldElem((1, 2)))
@@ -893,6 +894,20 @@ def test_chords_are_unordered_pairs_and_reject_bad_endpoints():
             Chord(*bad)
         with pytest.raises(err):
             Interval(*bad)
+
+
+def test_chords_and_their_images_compare_no_points(monkeypatch):
+    """Making a chord, or its image under a map, orders no points: with
+    ``linear_key`` refused, chords are still made and compare equal."""
+    u, v, g = fr(1, 3), fr(-2), MobiusMap(1, 1, 0, 1)
+    ch = Chord(u, v)
+
+    def refuse(self):
+        raise AssertionError("linear_key called")
+
+    monkeypatch.setattr(BoundaryPoint, "linear_key", refuse)
+    assert Chord(u, v) == Chord(v, u) == ch
+    assert apply_to_chord(g, ch) == apply_to_chord(g, Chord(v, u)) == Chord(fr(4, 3), fr(-1))
 
 
 def test_value_types_and_reports_keep_their_contract():
