@@ -9,7 +9,10 @@ Usage (from a checkout):
 For every elementary kind (finite_cyclic with n=5), farey, half_farey and
 square at depths 1-6 it records the sha256 of ``laminar build`` JSON and of
 ``laminar render`` SVG and ``--format json`` arcs; at depths 2 and 4 it records
-the exit code of ``laminar check`` and its report with the timings removed.  It
+the exit code of ``laminar check`` and its report with the timings removed, and
+the sha256 of the report file's text, with the temporary directory written as
+``<tmp>`` and every ``"seconds"`` value as 0 (``report`` keys), so the writer's
+bytes are guarded for reports too.  It
 records both renders also for two sets of depth-3 files whose layers share
 points: farey with half_farey, and the parabolic collection (which adds cusps)
 with farey.  It also records the sha256 of ``laminar dynamics`` output: cusps
@@ -47,13 +50,16 @@ has the non-canonical point r:2/4 and whose generator the non-canonical entry
 2/4, which share one ``errors:<command>`` key; and, each under its own
 ``errors:<command>:<input>`` key, spellings that Python's ``int()`` reads but
 ``encode()`` never writes (the point r:1_0/3,0/1,0/1,0/1 in a chord, the
-generator entry " 1/2,0/1,0/1,0/1") and a chord written as a JSON object of
-its two point strings.
+generator entry " 1/2,0/1,0/1,0/1"), a chord written as a JSON object of
+its two point strings, and four header edits: a system named ``{"a": 1}``, two
+systems both named ``"rational"``, a collection whose ``kind`` is null and a
+lamination whose ``name`` is ``[]``.
 For an invalid lamination it records, under ``check:<kind>:4:crossing``, the
 exit code of ``laminar check`` and its report with the timings removed, on the
 depth-4 parabolic collection and the depth-4 farey file, each with one chord
 added to its first system that crosses the set (the chord list kept
-canonical), and under ``gaps:<kind>:4:crossing`` the ``InvalidLamination``
+canonical), under ``report:<kind>:4:crossing`` that report's text as for the
+``report`` keys, and under ``gaps:<kind>:4:crossing`` the ``InvalidLamination``
 message that ``gaps`` raises on that system's chords as read from the file.
 ``--diff`` prints every key whose value differs and exits 1 if any does.
 """
@@ -67,6 +73,7 @@ import io
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 
@@ -101,6 +108,8 @@ CUSP_RADII = (("hecke_sqrt2", 10), ("hecke_sqrt3", 10), ("mixed_sqrt2_sqrt3", 6)
 TRIPLE_GROUPS = ("hyp_rational", "hyp_sqrt3", "angle_sqrt3_7", "exp_sqrt2")
 RESCALED_GROUPS = ("hyp_rational", "hyp_sqrt3")  # triples at horizon 1000
 FIXED_GROUPS, FIXED_RADIUS = ("hecke_sqrt2", "hecke_sqrt3", "mixed_sqrt2_sqrt3"), 6
+_SYSTEM = {"chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}
+_OTHER = {**_SYSTEM, "chords": [["r:1/1,0/1,0/1,0/1", "r:2/1,0/1,0/1,0/1"]]}  # no end shared with _SYSTEM
 BAD_INPUTS = {  # name -> file content, or None for no file
     "missing": None,
     "directory": "",
@@ -120,6 +129,14 @@ BAD_INPUTS = {  # name -> file content, or None for no file
     "chord-as-object": json.dumps(
         {"chart": "ext_real", "depth": 1, "chords": [{"r:0/1,0/1,0/1,0/1": 1, "r:1/1,0/1,0/1,0/1": 2}]}
     ),
+    "system-name-not-a-string": json.dumps(
+        {"kind": "parabolic", "depth": 1, "systems": [{"name": {"a": 1}, **_SYSTEM}]}
+    ),
+    "system-names-repeat": json.dumps(
+        {"kind": "parabolic", "depth": 1, "systems": [{"name": "rational", **_SYSTEM}, {"name": "rational", **_OTHER}]}
+    ),
+    "collection-kind-null": json.dumps({"kind": None, "depth": 1, "systems": [{"name": "rational", **_SYSTEM}]}),
+    "lamination-name-not-a-string": json.dumps({"name": [], **_SYSTEM}),
 }
 GROUPED_INPUTS = ("missing", "directory", "invalid-json", "non-canonical")  # one errors:<command> key
 ERROR_ARGV = {"check": ["check"], "render": ["render"], "dynamics": ["dynamics", "--test", "cusps", "--group"]}
@@ -144,6 +161,14 @@ def _strip_seconds(report: dict) -> dict:
             check.pop("seconds", None)
         entry.pop("file", None)
     return report
+
+
+def _report_text(path: str, tmp: str) -> str:
+    """sha256 of a check report's text, the temporary directory written as
+    ``<tmp>`` and every timing as 0."""
+    with open(path, encoding="utf-8") as f:
+        text = re.sub(r'"seconds": [^,\n]+', '"seconds": 0', f.read().replace(tmp, "<tmp>"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _dynamics(main, tmp: str, group: str, test: list) -> str:
@@ -208,6 +233,7 @@ def _crossing(main, tmp: str, kind: str) -> dict:
         code = main(["check", path, "--out", report])
     with open(report, encoding="utf-8") as f:
         out = {f"check:{kind}:{CROSSING_DEPTH}:crossing": {"exit": code, **_strip_seconds(json.load(f))}}
+    out[f"report:{kind}:{CROSSING_DEPTH}:crossing"] = _report_text(report, tmp)
     try:
         gaps(first_system(path))
     except InvalidLamination as exc:
@@ -296,6 +322,7 @@ def collect(root: str) -> dict:
                         code = main(["check", doc, "--out", report])
                     with open(report, encoding="utf-8") as f:
                         out[f"check:{kind}:{depth}"] = {"exit": code, **_strip_seconds(json.load(f))}
+                    out[f"report:{kind}:{depth}"] = _report_text(report, tmp)
         for kind in CROSSING_KINDS:
             out.update(_crossing(main, tmp, kind))
         for kinds in MULTI_RENDERS:

@@ -2,7 +2,9 @@
 
 Chord lists are ordered lexicographically on encoded endpoints, numbers are
 exact "<num>/<den>" strings, and files are written atomically so identical
-inputs always produce identical bytes.
+inputs always produce identical bytes.  Every document is written by one
+writer, ``dumps``, which reproduces ``json.dumps(doc, indent=2,
+sort_keys=True)`` byte for byte.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii as _str
 
 from .circle import BoundaryPoint, Chart, require_one_chart
 from .constructions import ELEMENTARY_KINDS, SYSTEM_BUILDERS, require_cyclic_order
@@ -78,17 +81,17 @@ def collection_doc(col: Col3Collection, depth: int) -> dict:
     }
 
 
-def _list(doc, key: str, default=None) -> list:
+def _field(doc, key: str, kind: type, default=None):
     """``doc[key]``, or ``default`` where the key is absent and a default is
-    given; ParseError unless it is a JSON list."""
+    given; ParseError unless it is a JSON ``kind``: list or str."""
     value = doc[key] if default is None else doc.get(key, default)
-    if type(value) is not list:
-        raise ParseError(f"{key} must be a list, not {value!r}")
+    if type(value) is not kind:
+        raise ParseError(f"{key} must be a {'list' if kind is list else 'string'}, not {value!r}")
     return value
 
 
 def parse_group(doc) -> list:
-    return [map_from_json(g) for g in _list(doc, "generators")]
+    return [map_from_json(g) for g in _field(doc, "generators", list)]
 
 
 def _depth(doc) -> int:
@@ -124,25 +127,28 @@ class ParsedLamination:
     def __init__(self, doc, points: dict | None = None):
         self.chart = Chart(doc["chart"])
         self.depth = _depth(doc)
-        self.chords = chords_from_json(_list(doc, "chords"), points)
+        self.chords = chords_from_json(_field(doc, "chords", list), points)
         stray = next((ch for ch in self.chords if ch.chart != self.chart), None)
         if stray is not None:
             raise ParseError(f"chord {stray!r} is not in the document's chart {self.chart.value}")
-        self.name = doc.get("name", "")
+        self.name = _field(doc, "name", str, "")
         self.builder = _builder(doc)
 
 
 class ParsedCollection:
     def __init__(self, doc):
-        self.kind = doc["kind"]
+        self.kind = _field(doc, "kind", str)
         self.depth = _depth(doc)
-        self.generators = [map_from_json(g) for g in _list(doc, "group", [])]
+        self.generators = [map_from_json(g) for g in _field(doc, "group", list, [])]
         points = {}  # one parse per distinct point string in the document
-        self.cusps = [_point(points, s) for s in _list(doc, "cusps", [])]
-        self.systems = [ParsedLamination(s, points) for s in _list(doc, "systems")]
+        self.cusps = [_point(points, s) for s in _field(doc, "cusps", list, [])]
+        self.systems = [ParsedLamination(s, points) for s in _field(doc, "systems", list)]
+        named = {}
         for k, s in enumerate(self.systems):
             if s.depth != self.depth:
                 raise ParseError(f"system {k} has depth {s.depth}, but the collection has depth {self.depth}")
+            if s.name and named.setdefault(s.name, k) != k:
+                raise ParseError(f"systems {named[s.name]} and {k} are both named {s.name!r}")
         require_one_chart([*self.systems, *self.cusps], ParseError)
         self.builder = _builder(doc)
 
@@ -170,8 +176,42 @@ def parse_doc(doc):
     return parsed
 
 
+_other = json.JSONEncoder().encode  # true, false, null, NaN, ±Infinity as json spells them
+
+
+def _text(x, indent: str) -> str:
+    """``x`` as ``json.dumps(x, indent=2, sort_keys=True)`` writes it at the
+    nesting ``indent``.  A list of two strings, a chord, is one template."""
+    if isinstance(x, str):
+        return _str(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        pair = "[\n" + inner + "  %s,\n" + inner + "  %s\n" + inner + "]"
+        items = [
+            pair % (_str(v[0]), _str(v[1]))
+            if type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is str
+            else _text(v, inner)
+            for v in x
+        ]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [_str(k) + ": " + _text(x[k], inner) for k in sorted(x)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if (type(x) is float or type(x) is int) and x - x == 0:  # not NaN or ±inf
+        return repr(x)
+    return _other(x)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte, at
+    string speed: json writes indented output with its pure-Python encoder.
+    Every key must be a string (every laminar document's is); any other key
+    raises TypeError."""
+    return _text(doc, "") + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -118,7 +118,9 @@ class Chord:
         return self._h
 
     def encode(self) -> list[str]:
-        return sorted((self.lo.encode(), self.hi.encode()))
+        """The two point encodings in string order."""
+        a, b = self.lo.encode(), self.hi.encode()
+        return [a, b] if a < b else [b, a]
 
     def __repr__(self):
         a, b = self.ends()

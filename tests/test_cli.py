@@ -467,6 +467,14 @@ def _assert_one_error_line(capsys, path):
         "[" * 100_000 + "]" * 100_000,
         '{"kind": "parabolic", "depth": 2, "systems": [{"chart": "ext_real", "depth": 7, '
         '"chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}]}',
+        '{"kind": "parabolic", "depth": 1, "systems": [{"name": {"a": 1}, "chart": "ext_real", "depth": 1, '
+        '"chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}]}',
+        '{"kind": "parabolic", "depth": 1, "systems": [{"name": "rational", "chart": "ext_real", "depth": 1, '
+        '"chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}, {"name": "rational", "chart": "ext_real", "depth": 1, '
+        '"chords": [["r:1/1,0/1,0/1,0/1", "r:2/1,0/1,0/1,0/1"]]}]}',
+        '{"kind": null, "depth": 1, "systems": [{"name": "rational", "chart": "ext_real", "depth": 1, '
+        '"chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}]}',
+        '{"name": [], "chart": "ext_real", "depth": 1, "chords": [["r:0/1,0/1,0/1,0/1", "r:inf"]]}',
     ],
     ids=[
         "zero-denominator",
@@ -496,6 +504,10 @@ def _assert_one_error_line(capsys, path):
         "flip-not-a-bool",
         "nested-too-deep",
         "system-depth-differs",
+        "system-name-not-a-string",
+        "system-names-repeat",
+        "collection-kind-null",
+        "lamination-name-not-a-string",
     ],
 )
 def test_malformed_document_exits_two_with_one_error_line(tmp_path, capsys, content):

@@ -1,4 +1,4 @@
-"""The document parser: shared points and the input contract under fuzzing."""
+"""The document reader and writer: shared points, the input contract under fuzzing and canonical output."""
 
 import contextlib
 import copy
@@ -8,15 +8,26 @@ import os
 import re
 import tempfile
 import traceback
+from collections import OrderedDict, namedtuple
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from laminar.circle import Chart
 from laminar.cli import main
 from laminar.constructions import ELEMENTARY_KINDS, elementary_col3, farey_system
 from laminar.errors import ParseError
-from laminar.jsonio import chords_from_json, chords_to_json, collection_doc, load, load_group, parse_doc, system_doc
+from laminar.jsonio import (
+    chords_from_json,
+    chords_to_json,
+    collection_doc,
+    dumps,
+    load,
+    load_group,
+    parse_doc,
+    system_doc,
+)
 
 
 def test_each_distinct_point_string_is_one_shared_point():
@@ -264,3 +275,77 @@ def test_a_finite_cyclic_builder_without_an_order_is_refused(tmp_path):
     base = BASES["finite_cyclic"]
     for builder in ({"kind": "finite_cyclic"}, {"kind": "finite_cyclic", "n": 1}, {"name": "finite_cyclic", "n": -3}):
         _refused_by_both_commands(tmp_path, {**base, "builder": builder}, "finite_cyclic requires order n >= 2")
+
+
+# -- the document writer -----------------------------------------------------------
+
+TEXT = st.text(st.sampled_from('aθ"\\/\n\t\x00\x1f\x7f é😀') | st.characters(), max_size=8)
+PLAIN = (
+    TEXT
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")])
+    | st.booleans()
+    | st.none()
+)
+VALUES = st.recursive(
+    PLAIN,
+    lambda inner: st.lists(st.lists(TEXT, min_size=2, max_size=2) | inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+Pair = namedtuple("Pair", "a b")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(value=VALUES)
+@example(value=Pair("θ", [1, 2.5]))
+@example(value=OrderedDict([("b", 1), ("a", OrderedDict([("d", None), ("c", True)]))]))
+@example(value={Chart.DISK_ANGLE: [Chart.EXT_REAL]})
+@example(value=[[], {}, [[]], {"a": {}}, ([],)])
+@example(value=[["a", 1]])
+def test_dumps_writes_what_json_dumps_writes_with_indent_two(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_dumps_refuses_a_key_that_is_not_a_string():
+    with pytest.raises(TypeError):
+        dumps({"a": {1: "b"}})
+
+
+_HYPERBOLIC = {"matrix": ["2/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1"]}
+_PSL2Z = [
+    {"matrix": ["0/1,0/1,0/1,0/1", "-1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1"]},
+    {"matrix": ["1/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1", "0/1,0/1,0/1,0/1", "1/1,0/1,0/1,0/1"]},
+]
+
+
+def test_every_cli_document_is_canonical_json(tmp_path):
+    """Each document the CLI writes reads back to a value that json.dumps
+    with indent 2 and sorted keys writes as the same text."""
+    outputs = []
+
+    def run(argv, name):
+        out = str(tmp_path / name)
+        assert _run([*argv, "--out", out])[0] == 0, argv
+        outputs.append(out)
+        return out
+
+    for kind in ELEMENTARY_KINDS:
+        extra = ["--n", "5"] if kind == "finite_cyclic" else []
+        doc = run(["build", "elementary", "--kind", kind, *extra, "--depth", "3"], f"{kind}.json")
+    for kind in ("farey", "half_farey", "square"):
+        run(["build", kind, "--depth", "3"], f"{kind}.json")
+    run(["check", doc], "check.json")
+    run(["render", doc, "--format", "json"], "arcs.json")
+    for name, generators in (("psl2z", _PSL2Z), ("hyperbolic", [_HYPERBOLIC])):
+        group = tmp_path / f"{name}.group.json"
+        group.write_text(json.dumps({"generators": generators}))
+        tests = [["cusps", "--radius", "4"], ["wings"]] if name == "psl2z" else [["triples", "--horizon", "200"]]
+        for test in tests:
+            run(["dynamics", "--group", str(group), "--test", *test], f"{name}.{test[0]}.json")
+    for out in outputs:
+        with open(out, encoding="utf-8") as f:
+            text = f.read()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", out

@@ -896,6 +896,12 @@ def test_chords_are_unordered_pairs_and_reject_bad_endpoints():
             Interval(*bad)
 
 
+def test_a_chord_encodes_its_ends_in_string_order():
+    """Whichever order the ends come in, and whatever their linear order."""
+    for u, v in ((fr(1, 3), fr(-2)), (fr(2), INF), (_ang(1), _ang(23)), (_ang(13), _ang(3))):
+        assert Chord(u, v).encode() == Chord(v, u).encode() == sorted([u.encode(), v.encode()])
+
+
 def test_chords_and_their_images_compare_no_points(monkeypatch):
     """Making a chord, or its image under a map, orders no points: with
     ``linear_key`` refused, chords are still made and compare equal."""
